@@ -156,10 +156,10 @@ impl<P: RecruitPolicy> UrnRefMut<'_, P> {
     /// The **single** coin-draw site of the urn state machine: decides
     /// whether a committed row recruits actively this round. The draw is
     /// a pure keyed function of `(key, round)` — no stream state advances
-    /// — so callers that pre-fill draw planes (`crate::table`) may
-    /// evaluate it for any subset of rows in any order and still agree
-    /// bit for bit with the scalar path.
-    pub(crate) fn recruit_draw(&self, round: u64) -> bool {
+    /// — so rows may be evaluated in any order (any chunk split of the
+    /// agent-state table) and still agree bit for bit with the scalar
+    /// path.
+    fn recruit_draw(&self, round: u64) -> bool {
         *self.state == State::Active && {
             let p = self
                 .policy
@@ -170,15 +170,6 @@ impl<P: RecruitPolicy> UrnRefMut<'_, P> {
     }
 
     pub(crate) fn choose(&mut self, round: u64) -> Action {
-        self.choose_with(round, None)
-    }
-
-    /// [`choose`](Self::choose) with an optional pre-computed recruit
-    /// draw. `None` draws inline (the scalar path); `Some(d)` consumes a
-    /// value produced earlier by [`recruit_draw`](Self::recruit_draw) on
-    /// this same row (the draw-plane path). Because the draw is a pure
-    /// function of `(key, round)`, both forms return the same action.
-    pub(crate) fn choose_with(&mut self, round: u64, draw: Option<bool>) -> Action {
         if round <= 1 {
             return Action::Search;
         }
@@ -193,10 +184,7 @@ impl<P: RecruitPolicy> UrnRefMut<'_, P> {
             State::Active | State::Passive => {
                 if round.is_multiple_of(2) {
                     // Recruitment round at home.
-                    let active = match draw {
-                        Some(d) => d,
-                        None => self.recruit_draw(round),
-                    };
+                    let active = self.recruit_draw(round);
                     Action::Recruit { active, nest }
                 } else {
                     // Assessment round at the nest.

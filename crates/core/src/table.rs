@@ -13,11 +13,12 @@
 //! not break the batch.
 //!
 //! The executor gathers an eligible colony's `Vec<AnyAgent>` into an
-//! [`AgentColumns`] table once, runs unperturbed rounds as column loops
-//! over [`AgentColumnsMut`] bands (chunk-splittable exactly like
+//! [`AgentColumns`] table at its first batched round, runs every
+//! unperturbed round from then on as column loops over
+//! [`AgentColumnsMut`] bands (chunk-splittable exactly like
 //! [`ColumnsMut`](crate::ColumnsMut)), and scatters the table back into
-//! the `Vec` whenever the scalar representation is needed again
-//! (perturbed rounds, instrumented paths, user inspection).
+//! the `Vec` when a caller reads the agents or switches to the scalar
+//! engine.
 //!
 //! ## Bit-identity by construction
 //!
@@ -355,24 +356,6 @@ impl<'a, P: RecruitPolicy + Copy> UrnColumnsMut<'a, P> {
         )
     }
 
-    /// Reborrows the band (so it can be split without consuming the
-    /// original lifetime).
-    pub fn reborrow(&mut self) -> UrnColumnsMut<'_, P> {
-        UrnColumnsMut {
-            n: self.n,
-            policy: self.policy,
-            options: self.options,
-            kind: self.kind,
-            key: self.key,
-            count: self.count,
-            nest: self.nest,
-            state: self.state,
-            pending: self.pending,
-            advocated: self.advocated,
-            carried: self.carried,
-        }
-    }
-
     /// Borrows local row `index` into the shared urn state machine.
     ///
     /// Only valid for urn rows; the callers below check `kind` first.
@@ -474,149 +457,6 @@ impl<'a, P: RecruitPolicy + Copy> UrnColumnsMut<'a, P> {
             }
         }
     }
-
-    /// Batched observe pass: applies `outcomes[i]` to every row `i` of
-    /// the band whose `ran[i]` flag is set, without touching any RNG
-    /// (urn observation is coin-free by construction; see
-    /// `UrnRefMut::observe`). One column sweep instead of a per-row
-    /// dispatch inside the executor's fused loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ran` or `outcomes` is shorter than the band.
-    pub fn observe_rows(&mut self, ran: &[bool], outcomes: &[Outcome]) {
-        for index in 0..self.len() {
-            if ran[index] {
-                self.observe_row(index, &outcomes[index]);
-            }
-        }
-    }
-
-    /// Applies `outcome` to local row `index` without touching any RNG —
-    /// the per-row body of [`observe_rows`](Self::observe_rows), exposed
-    /// so the executor can observe rows as it drains the chunk's
-    /// recruit-call cursor instead of materializing an outcome column
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn observe_row(&mut self, index: usize, outcome: &Outcome) {
-        match self.kind[index] {
-            RowKind::Urn => self.urn_row(index).observe(outcome),
-            RowKind::Idler => {
-                let mut advocated = decode_commitment(self.advocated[index]);
-                let mut carried = decode_commitment(self.carried[index]);
-                idler_observe(&mut advocated, &mut carried, outcome);
-                self.advocated[index] = encode_commitment(advocated);
-                self.carried[index] = encode_commitment(carried);
-            }
-        }
-    }
-
-    /// Whether `round` can draw recruit coins at all: the urn state
-    /// machine reaches its single coin site only on even recruitment
-    /// rounds past round 1. On every other round the draw plane is
-    /// structurally all-`false`, so batched callers can skip the fill
-    /// and take the fused per-row pass instead — the keyed draws make
-    /// either choice bit-identical.
-    #[must_use]
-    pub fn plane_round(round: u64) -> bool {
-        round > 1 && round.is_multiple_of(2)
-    }
-
-    /// Fills the band's **draw plane** for `round`: one dense pass over
-    /// the key/count/state columns producing each row's recruit draw as
-    /// the pure keyed coin `hash(key, round)` — no per-row stream state,
-    /// so the loop is branch-free (masking with non-short-circuit `&`)
-    /// and the compiler can batch the hash across rows. Rows whose draw
-    /// the scalar path would never consume — idlers and non-`Active`
-    /// states, which includes the committed-`Passive` rows that *do*
-    /// consume a plane entry but always recruit passively — come out
-    /// `false` exactly as `recruit_draw` would return for them, so
-    /// bit-identity to the `EngineKind::Scalar` oracle is preserved by
-    /// construction.
-    ///
-    /// Consume the plane with [`choose_with_draw`](Self::choose_with_draw).
-    pub fn fill_draw_plane(&self, round: u64, draws: &mut Vec<bool>) {
-        draws.clear();
-        draws.resize(self.len(), false);
-        if !Self::plane_round(round) {
-            return;
-        }
-        for index in 0..self.len() {
-            // Mirrors `recruit_draw` per row: probability and coin are
-            // computed unconditionally (idler rows hold count = 0 and a
-            // dummy key; degenerate p, including NaN from pathological
-            // policies, fails both the `p > 0.0` mask and the coin), and
-            // the masks are bitwise so the whole body is one straight-line
-            // expression per row.
-            let p = self
-                .policy
-                .recruit_probability(self.count[index] as usize, self.n as usize, round)
-                .clamp(0.0, 1.0);
-            draws[index] = (self.kind[index] == RowKind::Urn)
-                & (self.state[index] == State::Active)
-                & (p > 0.0)
-                & self.key[index].coin(round, p);
-        }
-    }
-
-    /// [`choose`](Self::choose) consuming a pre-computed draw-plane entry
-    /// instead of evaluating the keyed coin inline: the urn state machine
-    /// runs with `Some(draw)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn choose_with_draw(&mut self, index: usize, round: u64, draw: bool) -> Action {
-        match self.kind[index] {
-            RowKind::Urn => self.urn_row(index).choose_with(round, Some(draw)),
-            RowKind::Idler => idler_choose(decode_commitment(self.advocated[index])),
-        }
-    }
-
-    /// [`choose_with_draw`](Self::choose_with_draw) fused with
-    /// [`snapshot`](Self::snapshot) in one row dispatch, with the
-    /// snapshot read before the choose (the [`observe_choose`](Self::observe_choose)
-    /// ordering — for urn and idler rows choose mutates nothing
-    /// snapshot-visible, so the two orderings coincide; keeping the
-    /// scalar path's order makes that fact irrelevant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn choose_snapshot_with_draw(
-        &mut self,
-        index: usize,
-        round: u64,
-        draw: bool,
-    ) -> (Action, AgentSnapshot) {
-        match self.kind[index] {
-            RowKind::Urn => {
-                let mut row = self.urn_row(index);
-                let snapshot = AgentSnapshot {
-                    honest: true,
-                    role: urn_role(*row.state),
-                    committed: urn_committed(*row.nest),
-                    is_final: *row.state == State::Settled,
-                };
-                let action = row.choose_with(round, Some(draw));
-                (action, snapshot)
-            }
-            RowKind::Idler => {
-                let carried = decode_commitment(self.carried[index]);
-                let snapshot = AgentSnapshot {
-                    honest: true,
-                    role: AgentRole::Passive,
-                    committed: carried,
-                    is_final: false,
-                };
-                let action = idler_choose(decode_commitment(self.advocated[index]));
-                (action, snapshot)
-            }
-        }
-    }
 }
 
 /// Dense rows over one uniform non-urn colony (optimal / quality /
@@ -627,10 +467,9 @@ impl<'a, P: RecruitPolicy + Copy> UrnColumnsMut<'a, P> {
 ///
 /// Unlike [`UrnColumns`] this is not a field-wise decomposition — these
 /// algorithms mutate state inside `choose` (e.g. [`OptimalAnt`]'s phase
-/// automaton), so there is no separate plane pass; their coin draws are
-/// issued inline (keyed and order-independent, like every per-row draw
-/// since the counter-based migration) — but it shares the gather →
-/// batched rounds → scatter contract and band-splitting shape.
+/// automaton), and each row runs its own [`Agent`] impl — but it shares
+/// the gather → batched rounds → scatter contract and band-splitting
+/// shape.
 #[derive(Debug, Clone)]
 pub struct DenseRows<A> {
     rows: Vec<A>,
@@ -704,12 +543,6 @@ impl<'a, A: Agent + Clone> DenseRowsMut<'a, A> {
     pub fn split_at_mut(self, mid: usize) -> (DenseRowsMut<'a, A>, DenseRowsMut<'a, A>) {
         let (left, right) = self.0.split_at_mut(mid);
         (DenseRowsMut(left), DenseRowsMut(right))
-    }
-
-    /// Reborrows the band (so it can be split without consuming the
-    /// original lifetime).
-    pub fn reborrow(&mut self) -> DenseRowsMut<'_, A> {
-        DenseRowsMut(self.0)
     }
 
     /// Local row `index`'s action for `round` — the dense counterpart of
@@ -989,18 +822,6 @@ impl<'a> AgentColumnsMut<'a> {
             }
         }
     }
-
-    /// Reborrows the band (so it can be split without consuming the
-    /// original lifetime).
-    pub fn reborrow(&mut self) -> AgentColumnsMut<'_> {
-        match self {
-            AgentColumnsMut::Simple(band) => AgentColumnsMut::Simple(band.reborrow()),
-            AgentColumnsMut::Adaptive(band) => AgentColumnsMut::Adaptive(band.reborrow()),
-            AgentColumnsMut::Optimal(band) => AgentColumnsMut::Optimal(band.reborrow()),
-            AgentColumnsMut::Quality(band) => AgentColumnsMut::Quality(band.reborrow()),
-            AgentColumnsMut::Spreader(band) => AgentColumnsMut::Spreader(band.reborrow()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1240,58 +1061,6 @@ mod tests {
         ] {
             let make = make(strategy);
             dense_lockstep(make(), make(), strategy.label());
-        }
-    }
-
-    /// One batched round via the split passes (`observe_rows` →
-    /// `fill_draw_plane` → `choose_with_draw`) is bit-identical to the
-    /// fused per-row `observe_choose`, draw keys included.
-    #[test]
-    fn draw_plane_matches_fused_transition_exactly() {
-        let n = 24;
-        let mut fused_agents = simple_mixed(n);
-        let mut planed_agents = simple_mixed(n);
-        let mut fused = AgentColumns::gather(&fused_agents).expect("eligible colony");
-        let mut planed = AgentColumns::gather(&planed_agents).expect("eligible colony");
-        let mut draws = Vec::new();
-        for round in 1..=8u64 {
-            let AgentColumnsMut::Simple(mut a) = fused.as_band_mut() else {
-                panic!("simple colony must gather into a Simple table");
-            };
-            let AgentColumnsMut::Simple(mut b) = planed.as_band_mut() else {
-                panic!("simple colony must gather into a Simple table");
-            };
-            let outcomes: Vec<Outcome> = (0..n).map(|i| synthetic_outcome(round, i)).collect();
-            // Rows 0 and 13 miss their outcome this round (as if skipped
-            // by the harness): observe_rows must leave them untouched.
-            let ran: Vec<bool> = (0..n).map(|i| i != 0 && i != 13).collect();
-            b.observe_rows(&ran, &outcomes);
-            b.fill_draw_plane(round + 1, &mut draws);
-            for index in 0..n {
-                let observed = ran[index].then_some(&outcomes[index]);
-                let expected = a.observe_choose(index, round, observed);
-                let action = b.choose_with_draw(index, round + 1, draws[index]);
-                let snapshot = b.snapshot(index);
-                assert_eq!(expected, (action, snapshot), "ant {index}, round {round}");
-            }
-        }
-        // The key columns must agree too: scatter back and keep running
-        // on the plain agent path in lockstep.
-        fused.scatter_into(&mut fused_agents);
-        planed.scatter_into(&mut planed_agents);
-        for round in 9..=12u64 {
-            for (index, (a, b)) in fused_agents
-                .iter_mut()
-                .zip(planed_agents.iter_mut())
-                .enumerate()
-            {
-                let outcome = synthetic_outcome(round, index);
-                assert_eq!(
-                    a.observe_choose(round, Some(&outcome)),
-                    b.observe_choose(round, Some(&outcome)),
-                    "ant {index}, round {round} after scatter"
-                );
-            }
         }
     }
 

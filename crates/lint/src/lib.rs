@@ -38,8 +38,7 @@
 //!    the agent-state table impls and the executor — never draw a
 //!    per-row coin inline. Every draw a table round consumes goes
 //!    through the shared urn state machine (`UrnRefMut::recruit_draw`,
-//!    the oracle's own draw site) or the designated plane fill pass
-//!    (`fill_draw_plane`). The rule covers both hazard classes: a
+//!    the oracle's own draw site). The rule covers both hazard classes: a
 //!    stateful `.random_bool(...)`-style call would desynchronize a
 //!    row's stream from the oracle's, and an ad-hoc keyed
 //!    `.coin(...)`/`.word(...)` call would duplicate the draw-site
@@ -58,8 +57,13 @@
 //!    experiment index in `EXPERIMENTS.md` matches the registry
 //!    declared in `hh-bench` — doc drift and source drift report
 //!    through this one tool.
+//! 10. **No ambient configuration** (`ambient-env`): engine crates
+//!     never read the process environment (`env::var`, `var_os`,
+//!     `vars`, `vars_os`) outside test code. A simulation is a function
+//!     of what its caller passed; knobs are builder calls, not
+//!     variables a caller cannot see.
 //!
-//! Rules 2–6 accept an explicit, reviewable waiver: a comment
+//! Rules 2–6 and 10 accept an explicit, reviewable waiver: a comment
 //! `// hh-lint: allow(<rule>) — <reason>` on the flagged line or the
 //! comment block directly above it. Rules 1, 7, and 8 are unwaivable;
 //! changing them means editing the policy tables in [`rules`].

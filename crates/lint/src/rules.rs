@@ -2,7 +2,7 @@
 //! contract each rule encodes; this module is the machine-checkable
 //! half of that contract.
 
-use crate::lexer::{cfg_test_regions, fn_regions, impl_regions, lex, Lexed, TokenKind};
+use crate::lexer::{cfg_test_regions, impl_regions, lex, Lexed, TokenKind};
 use crate::report::Diagnostic;
 
 /// The one file allowed to contain the `unsafe` keyword.
@@ -14,8 +14,8 @@ pub const UNSAFE_SANCTUARY: &str = "crates/sim/src/pool.rs";
 pub const DENY_UNSAFE_ROOT: &str = "crates/sim/src/lib.rs";
 
 /// Crates whose sources feed deterministic simulation state. The
-/// determinism lints (hash containers, wall clock, ambient randomness)
-/// apply to non-test code in these path prefixes.
+/// determinism lints (hash containers, wall clock, ambient randomness,
+/// ambient configuration) apply to non-test code in these path prefixes.
 pub const ENGINE_PREFIXES: [&str; 3] = ["crates/model/src/", "crates/core/src/", "crates/sim/src/"];
 
 /// Files whose *entire* non-test body runs under (or dispatches onto)
@@ -44,10 +44,9 @@ pub const CHUNK_PHASE_TYPES: [&str; 10] = [
 ];
 
 /// Types whose impls form the *batched round bodies* of the
-/// per-algorithm agent-state tables: since the round-level draw planes,
-/// every coin a batched round consumes must come from the designated
-/// plane-fill pass or the shared scalar state machine, never an inline
-/// draw call. (The environment's chunk views — `RelocationChunk`,
+/// per-algorithm agent-state tables: every coin a batched round
+/// consumes must come from the shared scalar state machine, never an
+/// inline draw call. (The environment's chunk views — `RelocationChunk`,
 /// `OutcomeChunk` — draw their per-ant streams in place by design and
 /// are deliberately not listed.)
 pub const BATCHED_ROUND_TYPES: [&str; 6] = [
@@ -60,9 +59,8 @@ pub const BATCHED_ROUND_TYPES: [&str; 6] = [
 ];
 
 /// Method names that advance an RNG stream on their receiver. A call to
-/// one of these inside a batched round body (outside the designated
-/// fill pass) is raw per-row RNG access: it desynchronizes the row's
-/// stream from the scalar oracle's.
+/// one of these inside a batched round body is raw per-row RNG access:
+/// it desynchronizes the row's stream from the scalar oracle's.
 pub const RAW_DRAW_METHODS: [&str; 6] = [
     "random_bool",
     "random_range",
@@ -78,16 +76,13 @@ pub const RAW_DRAW_METHODS: [&str; 6] = [
 /// batched round body duplicates the designated draw site's logic
 /// (probability clamp, round-as-counter convention) and diverges from
 /// the scalar oracle the first time either copy changes, so they are
-/// confined to the same designated sites as the stateful draws.
+/// confined to the shared state machine like the stateful draws.
 pub const KEYED_DRAW_METHODS: [&str; 2] = ["coin", "word"];
 
-/// The designated plane-fill passes: the only functions in which
-/// batched round bodies may evaluate per-row draws. The fill pass
-/// mirrors the scalar oracle's single draw site
-/// (`UrnRefMut::recruit_draw`) row by row, so confining draws to it is
-/// what keeps the draw planes bit-identical to the oracle by
-/// construction.
-pub const DRAW_PLANE_FILL_FNS: [&str; 1] = ["fill_draw_plane"];
+/// The `std::env` functions that read the process environment. Library
+/// code in the engine crates takes its configuration through explicit
+/// builders, never from ambient variables a caller cannot see.
+pub const ENV_READ_FNS: [&str; 4] = ["var", "var_os", "vars", "vars_os"];
 
 /// The only `StreamKind` variants chunk-phase code may draw from: one
 /// stream per ant, so outcomes cannot depend on ant processing order.
@@ -116,10 +111,11 @@ pub const ORDERING_ALLOWLIST: [(&str, &[&str]); 2] = [
 /// (unsafe confinement, ordering audit, headers) are deliberately
 /// unwaivable: changing those is a policy edit in this file, reviewed
 /// as such.
-pub const WAIVABLE_RULES: [&str; 5] = [
+pub const WAIVABLE_RULES: [&str; 6] = [
     "hash-container",
     "wall-clock",
     "ambient-randomness",
+    "ambient-env",
     "shared-stream",
     "raw-row-draw",
 ];
@@ -143,6 +139,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     lint_header(path, &lexed, &mut diags);
     if is_engine {
         determinism(path, &lexed, &in_test, &waived, &mut diags);
+        ambient_env(path, &lexed, &in_test, &waived, &mut diags);
         shared_stream(path, &lexed, &in_test, &waived, &mut diags);
         raw_row_draw(path, &lexed, &in_test, &waived, &mut diags);
     }
@@ -289,6 +286,44 @@ fn determinism(
     }
 }
 
+/// Rule `ambient-env`: engine crates must not read the process
+/// environment ([`ENV_READ_FNS`] under `env::`) in non-test code. A
+/// knob read from an ambient variable changes a simulation's behaviour
+/// without any trace in its configuration; it belongs in a builder the
+/// caller sets. Test code is exempt (a test may pick its thread matrix
+/// from the environment; it configures nothing the library reads).
+fn ambient_env(
+    path: &str,
+    lexed: &Lexed,
+    in_test: &dyn Fn(u32) -> bool,
+    waived: &dyn Fn(&str, u32) -> bool,
+    diags: &mut Vec<Diagnostic>,
+) {
+    for w in lexed.tokens.windows(4) {
+        let is_env_read = w[0].kind == TokenKind::Ident
+            && w[0].text == "env"
+            && w[1].text == ":"
+            && w[2].text == ":"
+            && w[3].kind == TokenKind::Ident
+            && ENV_READ_FNS.contains(&w[3].text.as_str());
+        let line = w[3].line;
+        if !is_env_read || in_test(line) || waived("ambient-env", line) {
+            continue;
+        }
+        diags.push(Diagnostic::new(
+            "ambient-env",
+            path,
+            line,
+            format!(
+                "`env::{}` reads the ambient process environment; engine configuration \
+                 must come from an explicit builder or config value, so a run is a \
+                 function of what its caller passed",
+                w[3].text
+            ),
+        ));
+    }
+}
+
 /// Rule `shared-stream`: inside chunk-phase code (the whole body of
 /// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`CHUNK_PHASE_TYPES`]
 /// anywhere in the engine), only per-ant streams may be named. A draw
@@ -340,14 +375,14 @@ fn shared_stream(
 /// Rule `raw-row-draw`: batched round bodies (the whole body of
 /// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`BATCHED_ROUND_TYPES`]
 /// anywhere in the engine) must not evaluate per-row draws inline.
-/// Every draw a batched round consumes is materialized by the
-/// designated fill pass ([`DRAW_PLANE_FILL_FNS`]) or the shared scalar
-/// state machine it mirrors. Two hazard classes, one confinement: a
-/// stateful [`RAW_DRAW_METHODS`] call desynchronizes a row's stream
-/// from the plane (or double-draws it) the moment the pass is split
-/// across workers, and an ad-hoc keyed [`KEYED_DRAW_METHODS`] call
-/// forks the draw-site logic (probability clamp, round-as-counter
-/// convention) away from the scalar oracle's single implementation.
+/// Every draw a batched round consumes comes from the shared scalar
+/// state machine (`UrnRefMut::recruit_draw`, outside these scopes).
+/// Two hazard classes, one confinement: a stateful
+/// [`RAW_DRAW_METHODS`] call desynchronizes a row's stream from the
+/// oracle's (or double-draws it) the moment the pass is split across
+/// workers, and an ad-hoc keyed [`KEYED_DRAW_METHODS`] call forks the
+/// draw-site logic (probability clamp, round-as-counter convention)
+/// away from the scalar oracle's single implementation.
 fn raw_row_draw(
     path: &str,
     lexed: &Lexed,
@@ -357,10 +392,8 @@ fn raw_row_draw(
 ) {
     let whole_file = CHUNK_PHASE_FILES.contains(&path);
     let impl_spans = impl_regions(lexed, &BATCHED_ROUND_TYPES);
-    let fill_spans = fn_regions(lexed, &DRAW_PLANE_FILL_FNS);
     let in_round_body =
         |line: u32| whole_file || impl_spans.iter().any(|&(a, b)| a <= line && line <= b);
-    let in_fill_pass = |line: u32| fill_spans.iter().any(|&(a, b)| a <= line && line <= b);
 
     let toks = &lexed.tokens;
     for w in toks.windows(2) {
@@ -373,25 +406,23 @@ fn raw_row_draw(
             continue;
         }
         let line = w[1].line;
-        if !in_round_body(line) || in_fill_pass(line) || in_test(line) {
+        if !in_round_body(line) || in_test(line) {
             continue;
         }
         if !waived("raw-row-draw", line) {
             let message = if stateful {
                 format!(
                     "`.{method}(...)` advances an RNG stream inline inside a batched round \
-                     body; draws consumed by batched rounds must be materialized by the \
-                     designated fill pass ({}) so every row's stream advances in the \
-                     scalar oracle's order",
-                    DRAW_PLANE_FILL_FNS.join(", ")
+                     body; draws consumed by batched rounds must come from the shared \
+                     scalar state machine so every row's stream advances in the scalar \
+                     oracle's order"
                 )
             } else {
                 format!(
                     "`.{method}(...)` evaluates a keyed draw inline inside a batched round \
-                     body; counter draws are confined to the designated fill pass ({}) and \
-                     the shared scalar state machine so the draw-site logic (probability \
-                     clamp, round-as-counter convention) has exactly one implementation",
-                    DRAW_PLANE_FILL_FNS.join(", ")
+                     body; counter draws are confined to the shared scalar state machine \
+                     so the draw-site logic (probability clamp, round-as-counter \
+                     convention) has exactly one implementation"
                 )
             };
             diags.push(Diagnostic::new("raw-row-draw", path, line, message));

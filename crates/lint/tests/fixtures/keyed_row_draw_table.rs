@@ -1,16 +1,16 @@
 // Fixture: ad-hoc keyed (counter-based) draws inside a batched round
 // body. The `UrnColumnsMut` band below runs the batched choose pass
-// under the worker pool: its inline `.coin` draw in `choose` (line 20)
-// and raw `.word` access in `peek` (line 24) fork the draw-site logic
-// away from the scalar oracle and must be flagged, while the same keyed
-// draw inside the designated `fill_draw_plane` pass (line 14) and the
-// free helper outside any table impl (line 29) must not.
+// under the worker pool: its inline `.coin` draws in a pre-fill pass
+// (line 15) and in `choose` (line 20), and raw `.word` access in `peek`
+// (line 24), fork the draw-site logic away from the scalar oracle and
+// must be flagged, while the free helper outside any table impl
+// (line 29) must not.
 pub struct UrnColumnsMut<'a> {
     pub key: &'a [DrawKey],
 }
 
 impl<'a> UrnColumnsMut<'a> {
-    pub fn fill_draw_plane(&self, round: u64, draws: &mut [bool], p: f64) {
+    pub fn prefill_draws(&self, round: u64, draws: &mut [bool], p: f64) {
         for (index, slot) in draws.iter_mut().enumerate() {
             *slot = self.key[index].coin(round, p);
         }

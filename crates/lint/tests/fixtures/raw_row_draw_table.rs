@@ -1,15 +1,15 @@
 // Fixture: raw per-row RNG access inside a batched round body. The
 // `DenseRowsMut` band below runs the batched choose pass under the
-// worker pool: its inline `.random_bool` draw in `choose` (line 19)
-// bypasses the round's draw plane and must be flagged, while the same
-// per-row draw inside the designated `fill_draw_plane` pass (line 14)
-// and the free helper outside any table impl (line 24) must not.
+// worker pool: its inline `.random_bool` draws in a pre-fill pass
+// (line 14) and in `choose` (line 19) bypass the shared scalar state
+// machine and must be flagged, while the free helper outside any table
+// impl (line 24) must not.
 pub struct DenseRowsMut<'a> {
     pub rng: &'a mut [PerRowRng],
 }
 
 impl<'a> DenseRowsMut<'a> {
-    pub fn fill_draw_plane(&mut self, draws: &mut [bool], p: f64) {
+    pub fn prefill_draws(&mut self, draws: &mut [bool], p: f64) {
         for (index, slot) in draws.iter_mut().enumerate() {
             *slot = self.rng[index].random_bool(p);
         }

@@ -104,24 +104,51 @@ fn shared_stream_draws_in_agent_table_impls_are_flagged() {
 }
 
 #[test]
+fn ambient_env_reads_are_flagged_in_engine_crates() {
+    // Every non-test `env::var`/`var_os`/`vars` read is flagged; the
+    // waived read and the test-module read are not.
+    let diags = lint_fixture("ambient_env.rs", "crates/sim/src/executor.rs");
+    assert_eq!(
+        diags,
+        vec![
+            ("ambient-env".to_string(), 7),
+            ("ambient-env".to_string(), 12),
+            ("ambient-env".to_string(), 16),
+        ]
+    );
+}
+
+#[test]
+fn ambient_env_reads_are_fine_outside_the_engine() {
+    let diags = lint_fixture("ambient_env.rs", "crates/analysis/src/stats.rs");
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
 fn raw_row_draws_in_batched_round_bodies_are_flagged() {
-    // Since the round-level draw planes, a batched round body may only
-    // advance per-row RNG streams inside the designated fill pass: the
-    // inline draw in `choose` is flagged, the fill-pass draw and the
-    // free helper are not.
+    // A batched round body may not advance per-row RNG streams at all:
+    // every coin comes from the shared scalar state machine. Both inline
+    // draws in the table impl (the pre-fill pass and `choose`) are
+    // flagged; the free helper is not.
     let diags = lint_fixture("raw_row_draw_table.rs", "crates/core/src/table.rs");
-    assert_eq!(diags, vec![("raw-row-draw".to_string(), 19)]);
+    assert_eq!(
+        diags,
+        vec![
+            ("raw-row-draw".to_string(), 14),
+            ("raw-row-draw".to_string(), 19),
+        ]
+    );
 }
 
 #[test]
 fn every_raw_row_draw_is_flagged_in_chunk_phase_files() {
     // As executor.rs the whole file is a batched round body: the free
-    // helper's draw on line 24 is now also in scope; the fill pass
-    // stays exempt.
+    // helper's draw on line 24 is now also in scope.
     let diags = lint_fixture("raw_row_draw_table.rs", "crates/sim/src/executor.rs");
     assert_eq!(
         diags,
         vec![
+            ("raw-row-draw".to_string(), 14),
             ("raw-row-draw".to_string(), 19),
             ("raw-row-draw".to_string(), 24),
         ]
@@ -132,13 +159,13 @@ fn every_raw_row_draw_is_flagged_in_chunk_phase_files() {
 fn keyed_row_draws_in_batched_round_bodies_are_flagged() {
     // The counter migration adds a second hazard class: an ad-hoc keyed
     // `.coin`/`.word` call inside a batched round body forks the
-    // draw-site logic away from the scalar oracle. Both inline sites in
-    // the table impl are flagged; the designated fill pass and the free
-    // helper are not.
+    // draw-site logic away from the scalar oracle. All three inline
+    // sites in the table impl are flagged; the free helper is not.
     let diags = lint_fixture("keyed_row_draw_table.rs", "crates/core/src/table.rs");
     assert_eq!(
         diags,
         vec![
+            ("raw-row-draw".to_string(), 15),
             ("raw-row-draw".to_string(), 20),
             ("raw-row-draw".to_string(), 24),
         ]
@@ -148,12 +175,12 @@ fn keyed_row_draws_in_batched_round_bodies_are_flagged() {
 #[test]
 fn every_keyed_row_draw_is_flagged_in_chunk_phase_files() {
     // As executor.rs the whole file is a batched round body: the free
-    // helper's keyed draw on line 29 is now also in scope; the fill
-    // pass stays exempt.
+    // helper's keyed draw on line 29 is now also in scope.
     let diags = lint_fixture("keyed_row_draw_table.rs", "crates/sim/src/executor.rs");
     assert_eq!(
         diags,
         vec![
+            ("raw-row-draw".to_string(), 15),
             ("raw-row-draw".to_string(), 20),
             ("raw-row-draw".to_string(), 24),
             ("raw-row-draw".to_string(), 29),

@@ -269,8 +269,8 @@ mod tests {
     #[test]
     fn draw_key_matches_the_counter_hash() {
         // `word` is exactly the vendored keyed hash over the mixed seed —
-        // the bit-identity bridge between scalar agents (which call
-        // `coin`) and the dense plane fill (which may batch `word`s).
+        // the bit-identity bridge between agents that call `coin` and
+        // any caller that batches raw `word`s.
         let key = DrawKey::from_seed(12345);
         for round in 0..32 {
             assert_eq!(

@@ -19,6 +19,13 @@ pub enum SimError {
         /// Environment colony size `n`.
         n: usize,
     },
+    /// An earlier round unwound part-way (a panicking agent or pool job
+    /// was caught by the caller), so the simulation's state may be half
+    /// updated; it refuses to step again.
+    Poisoned {
+        /// The round that unwound.
+        round: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -28,6 +35,10 @@ impl fmt::Display for SimError {
             SimError::AgentCountMismatch { agents, n } => {
                 write!(f, "got {agents} agents for an environment of {n} ants")
             }
+            SimError::Poisoned { round } => write!(
+                f,
+                "round {round} unwound part-way; the simulation state is inconsistent"
+            ),
         }
     }
 }
@@ -36,7 +47,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Model(err) => Some(err),
-            SimError::AgentCountMismatch { .. } => None,
+            SimError::AgentCountMismatch { .. } | SimError::Poisoned { .. } => None,
         }
     }
 }
@@ -59,6 +70,10 @@ mod tests {
 
         let err = SimError::AgentCountMismatch { agents: 3, n: 5 };
         assert!(err.to_string().contains("3 agents"));
+        assert!(err.source().is_none());
+
+        let err = SimError::Poisoned { round: 7 };
+        assert!(err.to_string().contains("round 7"));
         assert!(err.source().is_none());
     }
 

@@ -20,9 +20,14 @@
 //!   a persistent [`RoundScratch`]; the environment's own pairing scratch
 //!   is reused the same way ([`Environment::step_into`]). After the first
 //!   round, stepping allocates nothing.
-//! * **Static dispatch.** Agents are [`AnyAgent`](hh_core::AnyAgent)
-//!   variants in one contiguous vector; only the `Custom` escape hatch
-//!   pays a vtable call.
+//! * **Static dispatch, one agent store per round.** Agents are
+//!   [`AnyAgent`](hh_core::AnyAgent) variants in one contiguous vector;
+//!   only the `Custom` escape hatch pays a vtable call. A homogeneous
+//!   colony runs its batched rounds on a per-algorithm
+//!   [`AgentColumns`] table instead, gathered at its first batched round
+//!   and authoritative from then on (see
+//!   [`Simulation::uses_agent_columns`]). Either way the round body is
+//!   the same generic function, dispatched once per round.
 //! * **Incremental census.** The colony's [`RoleCensus`] and the
 //!   executor's live-honest commitment tally are maintained per stepped
 //!   agent ([`Colony::refresh`]), never by rescanning the colony, so the
@@ -130,8 +135,8 @@ pub struct RunOutcome {
 struct RoundScratch {
     /// One action per ant for the round being assembled.
     actions: Vec<Action>,
-    /// The fast path's pre-chosen actions for the *next* round (see
-    /// `step_round`).
+    /// The batched path's pre-chosen actions for the *next* round (see
+    /// `run_batched_round`).
     next_actions: Vec<Action>,
     /// `chose[a]`: agent `a`'s `choose` ran this round (its state may
     /// have changed, so its snapshot needs a refresh).
@@ -344,20 +349,6 @@ impl TallyDelta {
     }
 }
 
-/// Phase-2 batched-pass buffer (per worker, persistent): the chunk's
-/// recruit **draw plane** — the dense per-row pre-drawn coins consumed
-/// branchlessly by `UrnColumnsMut::choose_with_draw` (see
-/// [`BatchAgents::observe_choose_all`]).
-#[derive(Debug, Default)]
-struct PlaneScratch {
-    /// Whether the backing store should take the plane passes at all —
-    /// [`Simulation::with_draw_planes`], threaded down per round.
-    enabled: bool,
-    /// One recruit draw per chunk row (`false` for rows the scalar path
-    /// would not draw for).
-    draws: Vec<bool>,
-}
-
 /// Per-worker round state: everything a chunk writes besides its
 /// disjoint slots, merged serially in chunk order at the barriers so
 /// results never depend on the thread count. Buffers persist across
@@ -374,24 +365,6 @@ struct WorkerScratch {
     census: CensusDelta,
     /// Phase 2: this chunk's live-tally delta.
     tally: TallyDelta,
-    /// Phase 2: this chunk's outcome/draw-plane buffers.
-    plane: PlaneScratch,
-}
-
-/// Which representation of the colony's agent state is currently
-/// authoritative — the state machine behind the **lazy scatter-on-read**
-/// seam. The batched table path no longer scatters on loop exit; the
-/// table stays authoritative until a scalar consumer (a scalar-path
-/// round, or [`Simulation::agents`]/[`Simulation::colony`]) actually
-/// needs the `Vec<AnyAgent>`, at which point the scatter runs once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TableAuthority {
-    /// The `Vec<AnyAgent>` is authoritative; any cached table is stale.
-    Agents,
-    /// Both representations hold the same state bit-exactly.
-    Synced,
-    /// The gathered table is authoritative; the agent vector is stale.
-    Table,
 }
 
 /// One synchronous execution: environment + colony + perturbations.
@@ -420,13 +393,13 @@ pub struct Simulation {
     /// `crashed[a]`: the executor has already seen ant `a` crashed (and
     /// removed it from the live tally).
     crashed: Vec<bool>,
-    /// `true` when both perturbation plans are empty — enables the fast
-    /// step path with no per-ant fault checks.
+    /// `true` when both perturbation plans are empty — enables the
+    /// batched round with no per-ant fault checks.
     unperturbed: bool,
     /// Which engine steps unperturbed rounds (perturbed rounds always
     /// run the scalar bookkeeping path).
     engine: EngineKind,
-    /// Fast path: `scratch.next_actions` holds the upcoming round's
+    /// Batched path: `scratch.next_actions` holds the upcoming round's
     /// pre-chosen actions.
     prechosen: bool,
     live: LiveTally,
@@ -441,28 +414,22 @@ pub struct Simulation {
     /// The persistent pool (`round_threads > 1`, unperturbed only).
     pool: Option<WorkerPool>,
     /// The colony is homogeneous modulo idlers (checked once at
-    /// construction): unperturbed SoA convergence runs batch it through
+    /// construction): unperturbed SoA rounds batch it through
     /// per-algorithm state columns. See
     /// [`uses_agent_columns`](Simulation::uses_agent_columns).
     table_eligible: bool,
-    /// The gathered agent-state table, kept across runs so repeated
-    /// short convergence calls (the benches' run-one-round pattern)
-    /// don't pay a full gather per call.
+    /// The agent store of batched rounds for an eligible colony. It is
+    /// gathered at the first batched round and, while it exists, holds
+    /// the authoritative agent state: the agent vector is stale until
+    /// [`agents`](Simulation::agents)/[`colony`](Simulation::colony)
+    /// scatter it back. Selecting the scalar engine scatters and drops
+    /// it, so scalar rounds always find the agent vector current.
     table: Option<AgentColumns>,
-    /// Which representation (`table` or the agent vector) is currently
-    /// authoritative; drives the lazy scatter-on-read seam.
-    authority: TableAuthority,
-    /// The [`run_to_convergence`](Simulation::run_to_convergence) table
-    /// gate, defaulting to [`TABLE_MIN_ROUNDS`](Simulation::TABLE_MIN_ROUNDS)
-    /// (or the `HH_TABLE_MIN_ROUNDS` environment variable when set).
-    table_min_rounds: u64,
-    /// Whether table rounds consume the round-level recruit **draw
-    /// plane** instead of drawing inline in the fused per-row pass. Both
-    /// are bit-identical (each row's draw is a pure keyed hash of
-    /// `(key, round)`); see
-    /// [`with_draw_planes`](Simulation::with_draw_planes) for why the
-    /// fused pass is still the default.
-    draw_planes: bool,
+    /// The round being executed, set before a round starts and cleared
+    /// when it completes. Still set at the next call only if that round
+    /// unwound (a panicking agent or pool job), which poisons the
+    /// simulation: its state may be half updated.
+    unfinished_round: Option<u64>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -538,52 +505,8 @@ impl Simulation {
             pool: None,
             table_eligible,
             table: None,
-            authority: TableAuthority::Agents,
-            table_min_rounds: std::env::var("HH_TABLE_MIN_ROUNDS")
-                .ok()
-                .and_then(|raw| raw.parse().ok())
-                .unwrap_or(Self::TABLE_MIN_ROUNDS),
-            draw_planes: std::env::var("HH_DRAW_PLANES")
-                .ok()
-                .is_some_and(|raw| raw == "1" || raw.eq_ignore_ascii_case("true")),
+            unfinished_round: None,
         })
-    }
-
-    /// Overrides the minimum `max_rounds` at which
-    /// [`run_to_convergence`](Self::run_to_convergence) batches rounds
-    /// through the agent-state table (default:
-    /// [`TABLE_MIN_ROUNDS`](Self::TABLE_MIN_ROUNDS), or the
-    /// `HH_TABLE_MIN_ROUNDS` environment variable when set at
-    /// construction). Both engine paths are bit-identical, so this is
-    /// purely a performance/benchmarking knob: `1` forces every eligible
-    /// convergence run onto the table path, `u64::MAX` disables it.
-    #[must_use]
-    pub fn with_table_min_rounds(mut self, min_rounds: u64) -> Self {
-        self.table_min_rounds = min_rounds;
-        self
-    }
-
-    /// Makes table rounds consume the round-level recruit **draw plane**
-    /// (`UrnColumnsMut::fill_draw_plane` + `choose_with_draw`) instead of
-    /// drawing inline in the fused per-row pass. Defaults to `false`, or
-    /// the `HH_DRAW_PLANES` environment variable (`1`/`true`) when set at
-    /// construction.
-    ///
-    /// Both paths are bit-identical by construction — each row's draw
-    /// is a pure keyed hash of `(key, round)` with no stream state, so
-    /// the plane fill and the fused pass evaluate literally the same
-    /// function — making this a pure performance/audit knob. Counter
-    /// draws made the fill a dense branch-free sweep and planes now
-    /// beat the pure scalar engine, but on this target the hash's
-    /// 64-bit multiplies and the `u64 → f64` threshold compare don't
-    /// vectorize, so the split passes still trail the fused pass by a
-    /// few percent (see `BENCH_BASELINE.md` for the measured three-way).
-    /// The fused pass therefore stays the default; the CI thread matrix
-    /// keeps the plane path pinned to the oracle.
-    #[must_use]
-    pub fn with_draw_planes(mut self, enabled: bool) -> Self {
-        self.draw_planes = enabled;
-        self
     }
 
     /// Sets the number of intra-round parts and spawns the persistent
@@ -664,9 +587,17 @@ impl Simulation {
     /// `with_round_threads` / `with_engine` / `with_chunk_bounds` calls
     /// ends at the same configuration, thread count included (pinned by
     /// `builder_order_never_drops_threads`).
+    ///
+    /// The scalar engine steps the agent vector, so choosing it scatters
+    /// the agent-state table back and drops it; the next SoA round
+    /// gathers a fresh one.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
+        if engine == EngineKind::Scalar {
+            self.scatter_table();
+            self.table = None;
+        }
         self.rebuild_pool();
         self
     }
@@ -691,30 +622,18 @@ impl Simulation {
         self.engine
     }
 
-    /// Default minimum `max_rounds` at which
-    /// [`run_to_convergence`](Self::run_to_convergence) batches rounds
-    /// through the agent-state table. Gathering the colony into columns
-    /// costs a full pass over the agent vector — roughly a tenth of one
-    /// round-time at n ≥ 4096 — and since the scatter back became lazy
-    /// (paid only when a scalar view is actually read, not per run) the
-    /// break-even sits near two rounds; shorter runs stay on the
-    /// `AnyAgent` path. Override per simulation with
-    /// [`with_table_min_rounds`](Self::with_table_min_rounds) or
-    /// process-wide with the `HH_TABLE_MIN_ROUNDS` environment variable
-    /// (read at construction); CI forces `1` in the thread-matrix job so
-    /// the table path is exercised by every suite.
-    pub const TABLE_MIN_ROUNDS: u64 = 2;
-
-    /// `true` if [`run_to_convergence`](Self::run_to_convergence) will
-    /// batch rounds through per-algorithm agent-state columns
-    /// ([`hh_core::AgentColumns`]) once `max_rounds` reaches the table
-    /// gate ([`with_table_min_rounds`](Self::with_table_min_rounds)):
+    /// `true` if every batched round — [`step`](Self::step),
+    /// [`step_in_place`](Self::step_in_place),
+    /// [`run_observed`](Self::run_observed) and
+    /// [`run_to_convergence`](Self::run_to_convergence) alike — runs on
+    /// per-algorithm agent-state columns ([`hh_core::AgentColumns`]):
     /// the colony is homogeneous (urn colonies modulo idlers; optimal,
     /// quality, and spreader colonies uniformly), the simulation is
     /// unperturbed, and the SoA engine is selected. Heterogeneous
-    /// mixes, `Custom` agents, adversaries, perturbed runs, and the
-    /// scalar oracle all take the `AnyAgent` path instead —
-    /// bit-identically, by the engine contract.
+    /// mixes, `Custom` agents, and adversaries run the same batched
+    /// round on the `AnyAgent` vector; perturbed runs and the scalar
+    /// oracle take the scalar round — all bit-identically, by the
+    /// engine contract.
     #[must_use]
     pub fn uses_agent_columns(&self) -> bool {
         self.table_eligible && self.unperturbed && self.engine == EngineKind::Soa
@@ -732,40 +651,36 @@ impl Simulation {
         &self.env
     }
 
-    /// The colony (read-only view; `&mut self` because reading the
-    /// scalar agents is the **lazy scatter** point — if the batched
-    /// table currently holds the authoritative state, it is scattered
-    /// back into the agent vector here, once, before the borrow is
-    /// handed out).
+    /// The colony (read-only view; `&mut self` because when the batched
+    /// agent-state table holds the authoritative state, it is scattered
+    /// back into the agent vector here before the borrow is handed out).
     #[must_use]
     pub fn agents(&mut self) -> &[AnyAgent] {
-        self.sync_agents();
+        self.scatter_table();
         &self.colony
     }
 
     /// The colony with its cached census (read-only view; `&mut self`
-    /// for the same lazy-scatter reason as [`agents`](Self::agents)).
+    /// for the same scatter as [`agents`](Self::agents)).
     #[must_use]
     pub fn colony(&mut self) -> &Colony {
-        self.sync_agents();
+        self.scatter_table();
         &self.colony
     }
 
     /// Every agent's observable state, in ant order — served from the
-    /// colony's snapshot columns, which both engines keep current every
-    /// round, so this needs **no** scatter and is valid whichever
-    /// representation (agent vector or batched table) is authoritative.
+    /// colony's snapshot columns, which every round path keeps current,
+    /// so this needs **no** scatter.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
         self.colony.iter_snapshots()
     }
 
-    /// Makes the agent vector authoritative again (scatters the batched
-    /// table if it holds newer state) — the single seam behind
-    /// [`agents`](Self::agents)/[`colony`](Self::colony) and the
-    /// scalar-path rounds.
-    fn sync_agents(&mut self) {
-        if self.authority == TableAuthority::Table {
-            self.scatter_table();
+    /// Writes the agent-state table's rows — draw keys included — back
+    /// into the agent vector, if a table exists. The table stays the
+    /// authoritative store.
+    fn scatter_table(&mut self) {
+        if let Some(table) = &self.table {
+            table.scatter_into(self.colony.engine_split().0);
         }
     }
 
@@ -798,107 +713,48 @@ impl Simulation {
     /// into the (persistent) report buffer, so instrumented and
     /// convergence runs are one code path and report identical
     /// [`RunOutcome`]s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Poisoned`] without stepping if an earlier
+    /// round unwound part-way (a panicking agent or pool job): the
+    /// agent store may hold a half-updated round.
     fn step_round(&mut self, materialize: bool) -> Result<(), SimError> {
-        if self.unperturbed && self.engine == EngineKind::Soa {
-            self.step_round_fast(materialize)
-        } else {
-            self.step_round_scalar(materialize)
+        if let Some(round) = self.unfinished_round {
+            return Err(SimError::Poisoned { round });
         }
+        let round = self.env.round() + 1;
+        self.unfinished_round = Some(round);
+        if self.unperturbed && self.engine == EngineKind::Soa {
+            self.step_round_batched(materialize, round);
+        } else {
+            self.step_round_scalar(materialize, round);
+        }
+        self.unfinished_round = None;
+        Ok(())
     }
 
-    /// The unperturbed fast path: no crash/delay plans to consult per
-    /// ant, and every agent chooses every round, so the `chose` mask is
-    /// a constant `true` and is not materialized.
+    /// The unperturbed batched round: no crash/delay plans to consult
+    /// per ant, and every agent chooses every round, so the `chose` mask
+    /// is a constant `true` and is not materialized.
     ///
-    /// The engine is memory-bound at scale — the dominant cost of a
-    /// round is streaming the agent array — so the fast path makes
-    /// exactly ONE pass over the agents per round: round r's observe is
-    /// fused with round r+1's choose (agents are independent, and
-    /// between rounds nothing else touches them), and the pre-chosen
-    /// actions are stashed in `next_actions` for the next step. Only the
-    /// first round after construction runs a dedicated choose pass.
-    ///
-    /// Both per-ant phases (validate/relocate/tally, then the fused
-    /// outcome/observe/choose/refresh pass) run over `round_threads`
-    /// disjoint ant chunks — inline when serial, on the persistent pool
-    /// otherwise — with per-worker deltas merged in chunk order between
-    /// the phases; only the Algorithm 1 pairing runs serially. See the
-    /// module docs for why every thread count is bit-identical.
+    /// The agent store is chosen here, once per round: the
+    /// [`AgentColumns`] table when the colony is eligible (gathered at
+    /// the first batched round), the `AnyAgent` vector otherwise. Both
+    /// run the one generic round body, [`run_batched_round`], so the
+    /// phase structure cannot drift between them; the snapshot columns,
+    /// role census, and live tally are maintained identically.
     ///
     /// Legality is still checked at the top of the round the action
     /// executes in (identical sandboxing semantics and counters), and
     /// the per-ant crash/delay semantics that forbid pre-choosing — a
     /// skipped ant must not advance its state machine — cannot occur
     /// here by definition.
-    fn step_round_fast(&mut self, materialize: bool) -> Result<(), SimError> {
-        // This path mutates the agent vector directly: scatter first if
-        // the table holds newer state, then mark any cached table stale.
-        self.sync_agents();
-        self.authority = TableAuthority::Agents;
-        let n = self.env.n();
-        let round = self.env.round() + 1;
-        let prechosen = std::mem::replace(&mut self.prechosen, true);
-        let Self {
-            env,
-            colony,
-            scratch,
-            worker_scratch,
-            live,
-            pool,
-            chunk_bounds,
-            illegal_actions,
-            ..
-        } = self;
-        if !prechosen {
-            scratch.next_actions.clear();
-            scratch.next_actions.resize(n, Action::Search);
-            let (agents, _) = colony.engine_split();
-            prime_choose_pass(
-                agents,
-                &mut scratch.next_actions,
-                pool.as_mut(),
-                chunk_bounds,
-                round,
-            );
+    fn step_round_batched(&mut self, materialize: bool, round: u64) {
+        if self.table_eligible && self.table.is_none() {
+            self.table = AgentColumns::gather(&self.colony);
         }
-        let (agents, snapshots) = colony.engine_split();
-        run_batched_round(
-            env,
-            agents,
-            snapshots,
-            scratch,
-            worker_scratch,
-            pool.as_mut(),
-            chunk_bounds,
-            illegal_actions,
-            round,
-            materialize,
-            false, // the AnyAgent store has no plane override to enable
-        );
-        finish_round(env, colony, scratch, worker_scratch, live);
-        Ok(())
-    }
-
-    /// The tentpole batched path: the same round as
-    /// [`step_round_fast`](Self::step_round_fast), but the agent pass
-    /// streams the gathered [`AgentColumns`] state table — per-algorithm
-    /// parallel columns dispatched once per round — instead of the
-    /// 88-byte-stride `AnyAgent` vector. Snapshot columns, role census,
-    /// and live tally are maintained identically (detectors read the
-    /// same state), and the shared `run_batched_round` body guarantees
-    /// the phase structure cannot drift between the two paths.
-    ///
-    /// Only [`run_to_convergence`](Self::run_to_convergence) calls this,
-    /// after [`gather_table`](Self::gather_table); the table is
-    /// authoritative afterwards and the agent vector stays stale until a
-    /// scalar consumer triggers the lazy scatter
-    /// ([`sync_agents`](Self::sync_agents)).
-    fn step_round_table(&mut self, materialize: bool) -> Result<(), SimError> {
-        let n = self.env.n();
-        let round = self.env.round() + 1;
         let prechosen = std::mem::replace(&mut self.prechosen, true);
-        let draw_planes = self.draw_planes;
-        self.authority = TableAuthority::Table;
         let Self {
             env,
             colony,
@@ -911,80 +767,45 @@ impl Simulation {
             table,
             ..
         } = self;
-        let table = table.as_mut().expect("gather_table precedes table rounds");
-        // One five-variant dispatch per pass, outside the per-ant loops.
-        macro_rules! dispatch_band {
-            ($table:expr, |$band:ident| $body:expr) => {
-                match $table {
-                    AgentColumnsMut::Simple($band) => $body,
-                    AgentColumnsMut::Adaptive($band) => $body,
-                    AgentColumnsMut::Optimal($band) => $body,
-                    AgentColumnsMut::Quality($band) => $body,
-                    AgentColumnsMut::Spreader($band) => $body,
-                }
+        let (agents, snapshots) = colony.engine_split();
+        macro_rules! run {
+            ($store:expr) => {
+                run_batched_round(
+                    $store,
+                    env,
+                    snapshots,
+                    scratch,
+                    worker_scratch,
+                    pool.as_mut(),
+                    chunk_bounds,
+                    illegal_actions,
+                    round,
+                    materialize,
+                    prechosen,
+                )
             };
         }
-        if !prechosen {
-            scratch.next_actions.clear();
-            scratch.next_actions.resize(n, Action::Search);
-            dispatch_band!(table.as_band_mut(), |band| prime_choose_pass(
-                band,
-                &mut scratch.next_actions,
-                pool.as_mut(),
-                chunk_bounds,
-                round,
-            ));
+        match table.as_mut().map(AgentColumns::as_band_mut) {
+            None => run!(agents),
+            Some(AgentColumnsMut::Simple(band)) => run!(band),
+            Some(AgentColumnsMut::Adaptive(band)) => run!(band),
+            Some(AgentColumnsMut::Optimal(band)) => run!(band),
+            Some(AgentColumnsMut::Quality(band)) => run!(band),
+            Some(AgentColumnsMut::Spreader(band)) => run!(band),
         }
-        let (_, snapshots) = colony.engine_split();
-        dispatch_band!(table.as_band_mut(), |band| run_batched_round(
-            env,
-            band,
-            snapshots,
-            scratch,
-            worker_scratch,
-            pool.as_mut(),
-            chunk_bounds,
-            illegal_actions,
-            round,
-            materialize,
-            draw_planes,
-        ));
-        finish_round(env, colony, scratch, worker_scratch, live);
-        Ok(())
-    }
-
-    /// Gathers the colony into the agent-state table. Skipped when the
-    /// cached table is already current (`Synced` after a scatter, or
-    /// still `Table`-authoritative from a previous run that no scalar
-    /// consumer touched) — repeated convergence calls pay the column
-    /// copy only once, and back-to-back table runs pay **neither**
-    /// gather nor scatter.
-    fn gather_table(&mut self) {
-        if self.authority != TableAuthority::Agents && self.table.is_some() {
-            return;
+        // The round barrier: fold the per-chunk census/tally deltas in
+        // chunk order, then export the recruitment pairs.
+        for ws in worker_scratch.iter() {
+            colony.apply_census_delta(&ws.census);
+            live.apply_delta(&ws.tally);
         }
-        self.table = Some(
-            AgentColumns::gather(&self.colony).expect("eligibility was checked at construction"),
-        );
-        self.authority = TableAuthority::Synced;
-    }
-
-    /// Writes the table's rows — draw keys included — back into the
-    /// agent vector, making the scalar representation current again.
-    /// The table is kept for the next gather to reuse.
-    fn scatter_table(&mut self) {
-        let Self { colony, table, .. } = self;
-        if let Some(table) = table.as_ref() {
-            let (agents, _) = colony.engine_split();
-            table.scatter_into(agents);
-        }
-        self.authority = TableAuthority::Synced;
+        env.export_pairs(&mut scratch.report);
     }
 
     /// The scalar path: one match-per-ant pass per phase, always serial
     /// (regardless of `round_threads`), built on the same chunk-view
     /// primitives — one full-range chunk per phase — and the same
-    /// delivering outcome pass as the fast path.
+    /// delivering outcome pass as the batched path.
     ///
     /// This path plays two roles:
     ///
@@ -996,15 +817,14 @@ impl Simulation {
     ///   engine: the per-agent call sequence (`choose(r)` then
     ///   `observe(r)`), the per-ant RNG streams, the serial pairing fed
     ///   in ant order, and the sandboxing timing are all identical to
-    ///   the fast path's, so equal seeds must produce bit-identical
+    ///   the batched path's, so equal seeds must produce bit-identical
     ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
     ///   the registry catalog.
-    fn step_round_scalar(&mut self, materialize: bool) -> Result<(), SimError> {
-        // Mutates the agent vector directly: scatter first if the table
-        // holds newer state, then mark any cached table stale.
-        self.sync_agents();
-        self.authority = TableAuthority::Agents;
-        let round = self.env.round() + 1;
+    ///
+    /// Neither role ever holds an agent-state table, so this path steps
+    /// the agent vector directly.
+    fn step_round_scalar(&mut self, materialize: bool, round: u64) {
+        debug_assert!(self.table.is_none(), "scalar rounds step the agent vector");
         let n = self.env.n();
         // If the previous round ran on the pre-chosen pipeline (the SoA
         // engine fuses `choose(round + 1)` into its agent pass), the
@@ -1017,7 +837,7 @@ impl Simulation {
         // built-in urn choose became repeat-safe with the keyed-draw
         // migration, but the contract has not). Consume the buffered
         // actions instead. Pre-chosen rounds are always
-        // unperturbed (the fast path requires it), so the fault checks
+        // unperturbed (the batched path requires it), so the fault checks
         // below are vacuous in that case.
         let prechosen = std::mem::replace(&mut self.prechosen, false);
         let scratch = &mut self.scratch;
@@ -1125,7 +945,6 @@ impl Simulation {
             }
         }
         self.env.export_pairs(&mut scratch.report);
-        Ok(())
     }
 
     /// Executes one synchronous round and returns the environment's
@@ -1138,8 +957,9 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Propagates environment errors; these indicate harness bugs, since
-    /// agent actions are validated and sandboxed before execution.
+    /// Returns [`SimError::Poisoned`] once an earlier round has unwound
+    /// part-way (a panicking agent or pool job caught by the caller);
+    /// the simulation never steps a half-updated agent store.
     pub fn step(&mut self) -> Result<StepReport, SimError> {
         self.step_round(true)?;
         Ok(self.scratch.report.clone())
@@ -1160,20 +980,10 @@ impl Simulation {
     /// Runs until `rule` detects convergence or `max_rounds` rounds have
     /// executed (counted from the simulation's current round).
     ///
-    /// When [`uses_agent_columns`](Self::uses_agent_columns) holds — an
-    /// unperturbed SoA run over a homogeneous colony — and `max_rounds`
-    /// is at least the table gate
-    /// ([`with_table_min_rounds`](Self::with_table_min_rounds), default
-    /// [`TABLE_MIN_ROUNDS`](Self::TABLE_MIN_ROUNDS)), the loop gathers
-    /// the agents into per-algorithm state columns and executes every
-    /// round on the batched table path. The table stays authoritative
-    /// after the loop returns (errors included): the bit-identical
-    /// scatter back into the agent vector — draw keys included — is
-    /// **lazy**, performed once when a scalar consumer
-    /// ([`agents`](Self::agents), [`colony`](Self::colony), or a
-    /// scalar-path round) next needs it, so back-to-back convergence
-    /// calls pay no per-call round trip. Both paths are bit-identical,
-    /// so the cutoff is purely a performance decision.
+    /// Detectors read the snapshot columns and the live tally, which
+    /// every round path maintains, so a run on the agent-state table
+    /// ([`uses_agent_columns`](Self::uses_agent_columns)) never scatters
+    /// the table back to the agent vector.
     ///
     /// # Errors
     ///
@@ -1186,27 +996,11 @@ impl Simulation {
         let mut detector = Detector::new(rule);
         let start = self.env.round();
         let mut solved = None;
-        if self.uses_agent_columns() && max_rounds >= self.table_min_rounds {
-            self.gather_table();
-            // No scatter on exit (success or error): the table stays
-            // authoritative and the write-back happens lazily at the
-            // next scalar read (`sync_agents`). Detectors need no
-            // scatter — they read the snapshot columns and live tally,
-            // which the table path maintains every round.
-            while self.env.round() - start < max_rounds {
-                self.step_round_table(false)?;
-                if let Some(found) = detector.check(self) {
-                    solved = Some(found);
-                    break;
-                }
-            }
-        } else {
-            while self.env.round() - start < max_rounds {
-                self.step_round(false)?;
-                if let Some(found) = detector.check(self) {
-                    solved = Some(found);
-                    break;
-                }
+        while self.env.round() - start < max_rounds {
+            self.step_round(false)?;
+            if let Some(found) = detector.check(self) {
+                solved = Some(found);
+                break;
             }
         }
         Ok(RunOutcome {
@@ -1282,11 +1076,11 @@ impl Simulation {
     }
 }
 
-/// The agent side of a batched unperturbed round: either a band of the
-/// `AnyAgent` vector (the fast path) or a band of the gathered
-/// per-algorithm state table (the table path). `run_batched_round` is
-/// monomorphized per implementor, so the colony-wide dispatch happens
-/// once per round and the per-ant loops underneath are match-free.
+/// The agent store of a batched unperturbed round: a band of either the
+/// `AnyAgent` vector (mixed colonies) or the gathered per-algorithm state
+/// table (homogeneous colonies). `run_batched_round` is monomorphized per
+/// implementor, so the colony-wide dispatch happens once per round and
+/// the per-ant loops underneath are match-free.
 trait BatchAgents: Send {
     /// Splits into disjoint `[0, mid)` / `[mid, len)` bands, mirroring
     /// `slice::split_at_mut`.
@@ -1294,7 +1088,7 @@ trait BatchAgents: Send {
     where
         Self: Sized;
 
-    /// Ant `local`'s action for `round` (round-1 priming pass only).
+    /// Ant `local`'s action for `round` (the priming choose only).
     fn choose_one(&mut self, local: usize, round: u64) -> Action;
 
     /// Ant `local`'s fused observe → snapshot → choose(`round + 1`)
@@ -1305,37 +1099,6 @@ trait BatchAgents: Send {
         round: u64,
         outcome: Option<&Outcome>,
     ) -> (Action, AgentSnapshot);
-
-    /// The whole band's phase-2 agent pass. Contract: `outcome_of(local)`
-    /// MUST be called exactly once for **every** `local` in `0..ran.len()`,
-    /// in ascending order (it advances the chunk's recruit-call cursor),
-    /// and `sink(local, action, snapshot)` must be called once per row
-    /// with the same `(action, snapshot)` that `observe_choose_one`
-    /// would return — row `local` observes iff `ran[local]`.
-    ///
-    /// The default runs the fused per-row loop. Backing stores whose
-    /// state machines permit it (the urn columns) override this with
-    /// split column passes — drain the cursor and observe row by row,
-    /// fill the round's **draw plane** in one dense branch-free sweep
-    /// over the key/count/state columns, then assemble actions consuming
-    /// the plane — which is bit-identical because observe never draws
-    /// and every coin is a pure keyed function of `(key, round)`,
-    /// independent of which pass (or which row order) evaluates it.
-    fn observe_choose_all(
-        &mut self,
-        round: u64,
-        ran: &[bool],
-        outcome_of: &mut impl FnMut(usize) -> Outcome,
-        sink: &mut impl FnMut(usize, Action, AgentSnapshot),
-        _plane: &mut PlaneScratch,
-    ) {
-        for local in 0..ran.len() {
-            let outcome = outcome_of(local);
-            let observed = ran[local].then_some(&outcome);
-            let (action, snapshot) = self.observe_choose_one(local, round, observed);
-            sink(local, action, snapshot);
-        }
-    }
 }
 
 impl BatchAgents for &mut [AnyAgent] {
@@ -1378,56 +1141,6 @@ impl<P: RecruitPolicy + Copy> BatchAgents for UrnColumnsMut<'_, P> {
     ) -> (Action, AgentSnapshot) {
         self.observe_choose(local, round, outcome)
     }
-
-    /// Split column passes instead of the fused per-row loop.
-    /// Bit-identity to the default holds by construction — observe is
-    /// coin-free, and the draw plane computes the same pure keyed coin
-    /// `hash(key, round)` the fused path would draw inline
-    /// (`UrnColumnsMut::fill_draw_plane`), just batched into one dense
-    /// vectorizable sweep consumed by `choose_snapshot_with_draw`.
-    fn observe_choose_all(
-        &mut self,
-        round: u64,
-        ran: &[bool],
-        outcome_of: &mut impl FnMut(usize) -> Outcome,
-        sink: &mut impl FnMut(usize, Action, AgentSnapshot),
-        plane: &mut PlaneScratch,
-    ) {
-        if !plane.enabled || !UrnColumnsMut::<P>::plane_round(round + 1) {
-            // Plane consumption is opt-in (`Simulation::with_draw_planes`;
-            // see its docs for why the fused pass currently wins), and
-            // assessment (odd) / pre-recruitment rounds draw no coins at
-            // all, so the plane would be structurally all-false either
-            // way: take the single fused sweep and skip two passes.
-            for local in 0..ran.len() {
-                let outcome = outcome_of(local);
-                let observed = ran[local].then_some(&outcome);
-                let (action, snapshot) = self.observe_choose_one(local, round, observed);
-                sink(local, action, snapshot);
-            }
-            return;
-        }
-        // Pass A: drain the chunk's recruit-call cursor (every row, in
-        // order, per the trait contract) and observe each row in place —
-        // observation is coin-free, so no outcome column needs
-        // materializing.
-        for local in 0..ran.len() {
-            let outcome = outcome_of(local);
-            if ran[local] {
-                self.observe_row(local, &outcome);
-            }
-        }
-        // Pass B: fill the next round's draw plane — one dense
-        // branch-free sweep over the key/count/state columns.
-        self.fill_draw_plane(round + 1, &mut plane.draws);
-        // Pass C: assemble actions consuming the plane — snapshot and
-        // choose fused into one row dispatch, no coin evaluation left.
-        for local in 0..ran.len() {
-            let (action, snapshot) =
-                self.choose_snapshot_with_draw(local, round + 1, plane.draws[local]);
-            sink(local, action, snapshot);
-        }
-    }
 }
 
 impl<A: Agent + Clone + Send> BatchAgents for DenseRowsMut<'_, A> {
@@ -1449,60 +1162,31 @@ impl<A: Agent + Clone + Send> BatchAgents for DenseRowsMut<'_, A> {
     ) -> (Action, AgentSnapshot) {
         self.observe_choose(local, round, outcome)
     }
-
-    // Dense rows keep the default fused `observe_choose_all`: these
-    // algorithms mutate state inside `choose` (their keyed coins are
-    // order-independent, but the surrounding transition is not), so
-    // there is no separate plane pass to split out.
 }
 
-/// Round 1 only: the dedicated choose pass that primes the pre-chosen
-/// pipeline, chunked over the same bounds as the main pass.
-fn prime_choose_pass<A: BatchAgents>(
-    full_agents: A,
-    next_actions: &mut [Action],
-    pool: Option<&mut WorkerPool>,
-    bounds: &[usize],
-    round: u64,
-) {
-    let threads = bounds.len() - 1;
-    struct ChoosePart<'a, A> {
-        agents: A,
-        next: &'a mut [Action],
-    }
-    let slots: [Mutex<Option<ChoosePart<'_, A>>>; MAX_ROUND_THREADS] =
-        std::array::from_fn(|_| Mutex::new(None));
-    let mut rest_agents = Some(full_agents);
-    let mut rest_next = next_actions;
-    for (part, slot) in slots.iter().take(threads).enumerate() {
-        let len = bounds[part + 1] - bounds[part];
-        let (agents, tail) = rest_agents
-            .take()
-            .expect("agents remainder")
-            .split_band(len);
-        rest_agents = Some(tail);
-        let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
-        rest_next = tail;
-        *slot.lock().expect("slot") = Some(ChoosePart { agents, next });
-    }
-    scatter(pool, threads, &slots, |_, part: ChoosePart<'_, A>| {
-        let ChoosePart { mut agents, next } = part;
-        for (local, next) in next.iter_mut().enumerate() {
-            *next = agents.choose_one(local, round);
-        }
-    });
-}
-
-/// The body shared by `step_round_fast` (agent vector) and
-/// `step_round_table` (per-algorithm state columns): one unperturbed
-/// round — phase 1 (validate/sandbox/relocate/tally), the serial
-/// pairing middle, phase 2 (outcome → observe → choose, snapshot
-/// refresh) — over any [`BatchAgents`] backing store. The caller folds
-/// the per-worker census/tally deltas afterwards ([`finish_round`]).
+/// The batched round body, generic over the agent store: phase 1
+/// (choose if not pre-chosen, validate/sandbox, relocate, tally), the
+/// serial pairing middle, and phase 2 (outcome → observe → choose
+/// `round + 1`, snapshot refresh). The caller folds the per-worker
+/// census/tally deltas afterwards.
+///
+/// The engine is memory-bound at scale — the dominant cost of a round
+/// is streaming the agent store — so a round makes exactly ONE pass over
+/// the agents: round r's observe is fused with round r+1's choose
+/// (agents are independent, and between rounds nothing else touches
+/// them), and the pre-chosen actions are stashed in `next_actions` for
+/// the next round. Only a round with nothing pre-chosen (the first, or
+/// the first after a scalar round) chooses in phase 1.
+///
+/// Both per-ant phases run over the `bounds` chunks — inline when
+/// serial, on the persistent pool otherwise — with per-worker deltas
+/// merged in chunk order between the phases; only the Algorithm 1
+/// pairing runs serially. See the module docs for why every thread
+/// count is bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn run_batched_round<A: BatchAgents>(
-    env: &mut Environment,
     full_agents: A,
+    env: &mut Environment,
     full_snapshots: ColumnsMut<'_>,
     scratch: &mut RoundScratch,
     worker_scratch: &mut [WorkerScratch],
@@ -1511,39 +1195,58 @@ fn run_batched_round<A: BatchAgents>(
     illegal_actions: &mut u64,
     round: u64,
     materialize: bool,
-    draw_planes: bool,
+    prechosen: bool,
 ) {
     let n = env.n();
     let k1 = env.k() + 1;
     let threads = bounds.len() - 1;
 
     std::mem::swap(&mut scratch.actions, &mut scratch.next_actions);
-    // Both buffers are written slot-by-slot for every ant (phase 1
-    // fills `ran`, phase 2 fills `next_actions`), so at steady state
-    // they only need their length established — refilling defaults
-    // every round would be two redundant full-colony write passes.
-    if scratch.next_actions.len() != n {
-        scratch.next_actions.resize(n, Action::Search);
+    // Every buffer is written slot-by-slot for every ant (phase 1 fills
+    // `ran`, and `actions` when nothing is pre-chosen; phase 2 fills
+    // `next_actions`), so at steady state they only need their length
+    // established — refilling defaults every round would be redundant
+    // full-colony write passes.
+    for buffer in [&mut scratch.actions, &mut scratch.next_actions] {
+        if buffer.len() != n {
+            buffer.resize(n, Action::Search);
+        }
     }
     if scratch.ran.len() != n {
         scratch.ran.resize(n, true);
     }
 
-    // ── Phase 1 (chunked): validate + sandbox, relocate, tally
-    // populations, collect recruit calls.
+    // The agent store, split once into the round's chunk bands: phase 1
+    // borrows them to choose, phase 2 consumes them.
+    let mut bands: [Option<A>; MAX_ROUND_THREADS] = std::array::from_fn(|_| None);
+    let mut rest_agents = Some(full_agents);
+    for (part, band) in bands.iter_mut().take(threads).enumerate() {
+        let len = bounds[part + 1] - bounds[part];
+        let (head, tail) = rest_agents
+            .take()
+            .expect("agents remainder")
+            .split_band(len);
+        *band = Some(head);
+        rest_agents = Some(tail);
+    }
+
+    // ── Phase 1 (chunked): choose (unless pre-chosen), validate +
+    // sandbox, relocate, tally populations, collect recruit calls.
     {
-        struct RelocPart<'a> {
+        struct RelocPart<'a, A> {
+            agents: &'a mut A,
             chunk: RelocationChunk<'a>,
             actions: &'a mut [Action],
             ran: &'a mut [bool],
             scratch: &'a mut WorkerScratch,
         }
-        let slots: [Mutex<Option<RelocPart>>; MAX_ROUND_THREADS] =
+        let slots: [Mutex<Option<RelocPart<'_, A>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let mut rest_chunk = Some(env.relocation_view());
         let mut rest_actions = scratch.actions.as_mut_slice();
         let mut rest_ran = scratch.ran.as_mut_slice();
         let mut scratch_iter = worker_scratch.iter_mut();
+        let mut band_iter = bands.iter_mut();
         for (part, slot) in slots.iter().take(threads).enumerate() {
             let len = bounds[part + 1] - bounds[part];
             let chunk = if part + 1 == threads {
@@ -1561,6 +1264,10 @@ fn run_batched_round<A: BatchAgents>(
             let (ran, tail) = std::mem::take(&mut rest_ran).split_at_mut(len);
             rest_ran = tail;
             *slot.lock().expect("slot") = Some(RelocPart {
+                agents: band_iter
+                    .next()
+                    .and_then(Option::as_mut)
+                    .expect("agent band"),
                 chunk,
                 actions,
                 ran,
@@ -1571,8 +1278,9 @@ fn run_batched_round<A: BatchAgents>(
             pool.as_deref_mut(),
             threads,
             &slots,
-            |_, part: RelocPart<'_>| {
+            |_, part: RelocPart<'_, A>| {
                 let RelocPart {
+                    agents,
                     mut chunk,
                     actions,
                     ran,
@@ -1587,6 +1295,9 @@ fn run_batched_round<A: BatchAgents>(
                 // sees only legal actions and can batch its per-ant RNG
                 // draws over the chunk's flat stream column.
                 for (local, action) in actions.iter_mut().enumerate() {
+                    if !prechosen {
+                        *action = agents.choose_one(local, round);
+                    }
                     let idx = start + local;
                     let legal = chunk.check_action(idx, action).is_ok();
                     ran[local] = legal;
@@ -1644,7 +1355,6 @@ fn run_batched_round<A: BatchAgents>(
         let slots: [Mutex<Option<OutcomePart<'_, A>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let (full_chunk, ctx) = env.outcome_view();
-        let mut rest_agents = Some(full_agents);
         let mut rest_snapshots = Some(full_snapshots);
         let mut rest_chunk = Some(full_chunk);
         let mut rest_next = scratch.next_actions.as_mut_slice();
@@ -1663,11 +1373,6 @@ fn run_batched_round<A: BatchAgents>(
                 rest_chunk = Some(tail);
                 head
             };
-            let (agents, tail) = rest_agents
-                .take()
-                .expect("agents remainder")
-                .split_band(len);
-            rest_agents = Some(tail);
             let snapshots = if part + 1 == threads {
                 rest_snapshots.take().expect("columns remainder")
             } else {
@@ -1690,7 +1395,7 @@ fn run_batched_round<A: BatchAgents>(
             cursor += ws.calls.len();
             *slot.lock().expect("slot") = Some(OutcomePart {
                 chunk,
-                agents,
+                agents: bands[part].take().expect("agent band"),
                 snapshots,
                 next,
                 outcomes,
@@ -1710,57 +1415,29 @@ fn run_batched_round<A: BatchAgents>(
                 scratch,
                 mut cursor,
             } = part;
-            // Disjoint borrows: the outcome closure owns the chunk +
-            // cursor, the sink owns the snapshot/census/tally side, and
-            // the plane buffers go to the backing store's batched pass.
-            let WorkerScratch {
-                census,
-                tally,
-                plane,
-                ..
-            } = scratch;
-            census.clear();
-            tally.clear();
-            plane.enabled = draw_planes;
+            scratch.census.clear();
+            scratch.tally.clear();
             let start = chunk.start();
-            let ran = &ran[start..start + next.len()];
-            let mut outcome_of = |local: usize| {
+            for (local, next) in next.iter_mut().enumerate() {
                 let idx = start + local;
+                // Every row drains its outcome, in order: the call
+                // advances the chunk's recruit-call cursor.
                 let outcome = chunk.outcome(&ctx, idx, actions[idx], &mut cursor);
                 if let Some(out) = outcomes.as_deref_mut() {
                     out[local] = outcome;
                 }
-                outcome
-            };
-            let mut sink = |local: usize, action: Action, new: AgentSnapshot| {
-                next[local] = action;
+                let observed = ran[idx].then_some(&outcome);
+                let (action, new) = agents.observe_choose_one(local, round, observed);
+                *next = action;
                 let old = snapshots.get(local);
                 if new != old {
-                    census.record(&old, &new);
-                    tally.apply(&old, &new);
+                    scratch.census.record(&old, &new);
+                    scratch.tally.apply(&old, &new);
                     snapshots.set(local, new);
                 }
-            };
-            agents.observe_choose_all(round, ran, &mut outcome_of, &mut sink, plane);
+            }
         });
     }
-}
-
-/// The round barrier shared by the fast and table paths: fold the
-/// per-chunk census/tally deltas in chunk order, then export the
-/// recruitment pairs into the report.
-fn finish_round(
-    env: &mut Environment,
-    colony: &mut Colony,
-    scratch: &mut RoundScratch,
-    worker_scratch: &[WorkerScratch],
-    live: &mut LiveTally,
-) {
-    for ws in worker_scratch.iter() {
-        colony.apply_census_delta(&ws.census);
-        live.apply_delta(&ws.tally);
-    }
-    env.export_pairs(&mut scratch.report);
 }
 
 #[cfg(test)]
@@ -2109,7 +1786,7 @@ mod tests {
 
     #[test]
     fn mid_run_engine_switch_matches_pure_scalar() {
-        // The SoA fast path leaves the colony pre-chosen for the next
+        // The batched path leaves the colony pre-chosen for the next
         // round (fused `choose(round + 1)`). A mid-run switch to the
         // scalar engine must consume those buffered actions instead of
         // calling `choose` again — the Agent contract allows one call
@@ -2118,11 +1795,16 @@ mod tests {
         // the keyed-draw migration; this test pins the consume-buffer
         // path itself so the contract stays honored for agents that
         // are not.)
+        // The uniform colony steps on the agent-state table, so the
+        // switch also crosses the one store change a simulation can
+        // make: table → scatter + drop → agent vector, and back to a
+        // fresh gather.
         // Switch after an odd number of rounds so the buffered choices
         // are for an even (recruitment) round: that is where urn ants
         // draw their recruit coin in `choose`.
         let n = 64;
         let mut switched = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
+        assert!(switched.uses_agent_columns());
         let mut scalar = Simulation::new(env(n, 3, 52), colony::simple(n, 52))
             .unwrap()
             .with_engine(EngineKind::Scalar);
@@ -2140,10 +1822,11 @@ mod tests {
         }
         assert_eq!(switched.role_census(), scalar.role_census());
         // And back: the scalar path leaves no pre-chosen actions, so the
-        // fast path re-primes with a dedicated choose pass.
+        // batched path re-gathers the table and chooses in phase 1.
         switched.step().unwrap();
         scalar.step().unwrap();
         switched = switched.with_engine(EngineKind::Soa);
+        assert!(switched.uses_agent_columns());
         let mut soa_oracle = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
         for _ in 0..31 {
             soa_oracle.step().unwrap();
@@ -2227,10 +1910,11 @@ mod tests {
 
     #[test]
     fn table_runs_interleave_with_stepping_bit_identically() {
-        // Crossing the gather/scatter boundary repeatedly — convergence
-        // runs (table path) interleaved with single steps (agent-vector
-        // path) — must match an uninterrupted scalar-engine twin: the
-        // scatter restores agent state *and* draw keys exactly.
+        // Convergence runs interleaved with single steps and agent reads
+        // all run on the one agent-state table, and must match an
+        // uninterrupted scalar-engine twin: every read scatters agent
+        // state *and* draw keys exactly, and leaves the table
+        // authoritative.
         let n = 128;
         let rule = ConvergenceRule::stable_commitment(2);
         let mut table = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
@@ -2243,9 +1927,60 @@ mod tests {
             let b = oracle.run_to_convergence(rule, 25).unwrap();
             assert_eq!(a, b);
             assert_eq!(table.step().unwrap(), oracle.step().unwrap());
+            let scattered: Vec<_> = table.agents().iter().map(AgentSnapshot::of).collect();
+            let expected: Vec<_> = oracle.agents().iter().map(AgentSnapshot::of).collect();
+            assert_eq!(scattered, expected);
         }
+        assert!(table.uses_agent_columns());
         assert_eq!(table.role_census(), oracle.role_census());
         assert_eq!(table.env().counts(), oracle.env().counts());
         assert_eq!(table.env().locations(), oracle.env().locations());
+    }
+
+    #[test]
+    fn an_unwound_round_poisons_the_simulation() {
+        // A `Custom` agent that panics once, in `observe` at round 3,
+        // on the pool's worker thread (ant 47 sits in the second chunk).
+        // The pool re-raises the panic on the caller; once the caller
+        // catches it, the half-updated simulation must refuse to step.
+        struct Tripwire(hh_core::SimpleAnt);
+        impl Agent for Tripwire {
+            fn choose(&mut self, round: u64) -> hh_model::Action {
+                self.0.choose(round)
+            }
+            fn observe(&mut self, round: u64, outcome: &hh_model::Outcome) {
+                assert_ne!(round, 3, "tripwire");
+                self.0.observe(round, outcome);
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.0.committed_nest()
+            }
+            fn label(&self) -> &'static str {
+                "tripwire"
+            }
+        }
+        let n = 48;
+        let mut agents = colony::simple(n, 90);
+        agents.replace(
+            n - 1,
+            AnyAgent::custom(Tripwire(hh_core::SimpleAnt::new(n, 90))),
+        );
+        let mut sim = Simulation::new(env(n, 2, 90), agents)
+            .unwrap()
+            .with_round_threads(2);
+        assert!(
+            !sim.uses_agent_columns(),
+            "custom agents step the agent vector"
+        );
+        sim.step().unwrap();
+        sim.step().unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.step()));
+        assert!(unwound.is_err(), "the tripwire panic reaches the caller");
+        assert_eq!(sim.step(), Err(SimError::Poisoned { round: 3 }));
+        assert_eq!(
+            sim.run_to_convergence(ConvergenceRule::commitment(), 10)
+                .unwrap_err(),
+            SimError::Poisoned { round: 3 }
+        );
     }
 }

@@ -193,9 +193,9 @@ proptest! {
                     sim.run_to_convergence(ConvergenceRule::commitment(), 3).unwrap();
                 }
             }
-            // `colony()`/`agents()` take `&mut self` since the lazy-scatter
-            // seam (they force a table → agent sync), so collect owned data
-            // in separate scopes before comparing.
+            // `colony()`/`agents()` take `&mut self` (they scatter the
+            // agent-state table back into the agent vector), so collect
+            // owned data in separate scopes before comparing.
             let round = sim.round();
             let cached: Vec<_> = {
                 let columns = sim.colony().snapshot_columns();

@@ -187,17 +187,16 @@ proptest! {
         }
     }
 
-    /// The round-level draw planes are bit-identical to the scalar
-    /// oracle by construction: forcing the batched agent-state table
-    /// from round 1 (`with_table_min_rounds(1)`) with plane consumption
-    /// on (`with_draw_planes(true)` — it is opt-in) under adversarial
-    /// chunk bounds and every covered thread count must reproduce the
-    /// oracle exactly — across every colony family on the column path (simple,
-    /// optimal, quality, spreader), with `agents()` reads interleaved
-    /// mid-run so the lazy table → agent scatter is exercised at
-    /// arbitrary step/run/read boundaries, not just run exits.
+    /// The batched agent-state table is bit-identical to the scalar
+    /// oracle: every SoA round of an eligible colony runs on it from
+    /// round 1, and under adversarial chunk bounds and every covered
+    /// thread count it must reproduce the oracle exactly — across every
+    /// colony family on the column path (simple, optimal, quality,
+    /// spreader), with `agents()` reads interleaved mid-run so the
+    /// table → agent scatter is exercised at arbitrary step/run/read
+    /// boundaries, not just run exits.
     #[test]
-    fn forced_draw_planes_match_the_oracle_across_interleaved_reads(
+    fn agent_table_matches_the_oracle_across_interleaved_reads(
         n in 4usize..72,
         k in 2usize..5,
         seed in any::<u64>(),
@@ -234,16 +233,14 @@ proptest! {
         let mut soa = build(EngineKind::Soa)
             .unwrap()
             .with_round_threads(threads)
-            .with_chunk_bounds(bounds)
-            .with_table_min_rounds(1)
-            .with_draw_planes(true);
+            .with_chunk_bounds(bounds);
         prop_assert!(
             soa.uses_agent_columns(),
             "family {} must ride the batched agent-state table", family
         );
         let rule = ConvergenceRule::commitment();
         let snapshots = |sim: &mut Simulation| -> Vec<AgentSnapshot> {
-            // `agents()` forces the lazy table → agent scatter.
+            // `agents()` scatters the table back into the agent vector.
             sim.agents().iter().map(AgentSnapshot::of).collect()
         };
         for (at, &op) in ops.iter().enumerate() {
