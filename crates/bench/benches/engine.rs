@@ -181,10 +181,12 @@ fn bench_round_threads(c: &mut Criterion) {
 }
 
 fn bench_columns_vs_scalar(c: &mut Criterion) {
-    // The batched agent-state table against the scalar oracle, at the
-    // two large scales. Both rows execute the bit-identical stochastic
-    // process; every SoA round of a uniform colony runs on the table,
-    // while the scalar rows take the match-per-ant oracle.
+    // The batched round against the scalar oracle, at the two large
+    // scales. Both rows execute the bit-identical stochastic process;
+    // every SoA round of a uniform colony runs the per-algorithm loop
+    // over the agent vector, while the scalar rows take the
+    // match-per-ant oracle. (The group id predates that loop; the ids
+    // are kept so the `BENCH_BASELINE.md` history stays comparable.)
     let mut group = c.benchmark_group("engine/columns_vs_scalar");
     for n in [4096usize, 16384] {
         group.throughput(Throughput::Elements(n as u64));

@@ -58,8 +58,9 @@ pub enum AnyAgent {
     /// The non-binary quality-weighted variant (Section 6). Boxed: it is
     /// the largest agent by a factor of ~2, and leaving it inline would
     /// pad *every* colony's agent stride to its size — the enum stays a
-    /// compact 88 bytes this way, and quality agents pay one extra
-    /// pointer hop that their (rare) workloads never notice.
+    /// compact 48 bytes this way (pinned by `any_agent_stride_is_pinned`),
+    /// and quality agents pay one extra pointer hop that their (rare)
+    /// workloads never notice.
     Quality(Box<QualityAnt>),
     /// A lower-bound spreading process (Section 3).
     Spreader(SpreaderAnt),
@@ -75,7 +76,22 @@ pub enum AnyAgent {
     Custom(BoxedAgent),
 }
 
-use crate::colony::snapshot_of;
+use crate::colony::{snapshot_of, AgentSnapshot};
+
+/// The fused round transition over any agent expression: observe round
+/// `round`'s outcome (if the agent's own action ran), snapshot, then
+/// choose the action for `round + 1`. The **single** definition of that
+/// order, shared by [`AnyAgent::observe_choose`] and [`Projected`].
+macro_rules! fused_transition {
+    ($agent:expr, $round:expr, $outcome:expr) => {{
+        if let Some(outcome) = $outcome {
+            $agent.observe($round, outcome);
+        }
+        let snapshot = snapshot_of!($agent);
+        let action = $agent.choose($round + 1);
+        (action, snapshot)
+    }};
+}
 
 /// Forwards one method call to whichever variant is live.
 macro_rules! dispatch {
@@ -108,7 +124,7 @@ impl AnyAgent {
     /// the discriminant four times.
     #[inline]
     #[must_use]
-    pub fn snapshot(&self) -> crate::colony::AgentSnapshot {
+    pub fn snapshot(&self) -> AgentSnapshot {
         dispatch!(self, agent => snapshot_of!(agent))
     }
 
@@ -129,15 +145,8 @@ impl AnyAgent {
         &mut self,
         round: u64,
         outcome: Option<&Outcome>,
-    ) -> (Action, crate::colony::AgentSnapshot) {
-        dispatch!(self, agent => {
-            if let Some(outcome) = outcome {
-                agent.observe(round, outcome);
-            }
-            let snapshot = snapshot_of!(agent);
-            let action = agent.choose(round + 1);
-            (action, snapshot)
-        })
+    ) -> (Action, AgentSnapshot) {
+        dispatch!(self, agent => fused_transition!(agent, round, outcome))
     }
 
     /// Returns `true` for the [`Custom`](AnyAgent::Custom) escape hatch.
@@ -182,6 +191,130 @@ impl Agent for AnyAgent {
     fn role(&self) -> AgentRole {
         dispatch!(self, agent => agent.role())
     }
+}
+
+/// The built-in algorithm every ant of a **uniform** colony runs — the
+/// variants whose batched rounds project each [`AnyAgent`] slot onto its
+/// concrete type ([`Projected`]) instead of dispatching per ant.
+///
+/// Per-ant parameters (colony size, [`UrnOptions`](crate::UrnOptions),
+/// policies, seeds) may differ between ants: every slot carries its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UniformVariant {
+    /// Every ant is [`AnyAgent::Simple`].
+    Simple,
+    /// Every ant is [`AnyAgent::Optimal`].
+    Optimal,
+    /// Every ant is [`AnyAgent::Adaptive`].
+    Adaptive,
+    /// Every ant is [`AnyAgent::Quality`].
+    Quality,
+    /// Every ant is [`AnyAgent::Spreader`].
+    Spreader,
+}
+
+impl UniformVariant {
+    /// The variant every agent shares, or `None` for an empty colony, a
+    /// mix of variants, or any idler, adversary or `Custom` box.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hh_core::{colony, OptimalAnt, UniformVariant};
+    ///
+    /// let mut ants = colony::simple(8, 1);
+    /// assert_eq!(UniformVariant::of(&ants), Some(UniformVariant::Simple));
+    /// ants.replace(0, OptimalAnt::new());
+    /// assert_eq!(UniformVariant::of(&ants), None);
+    /// ```
+    #[must_use]
+    pub fn of(agents: &[AnyAgent]) -> Option<Self> {
+        let variant = |agent: &AnyAgent| match agent {
+            AnyAgent::Simple(_) => Some(Self::Simple),
+            AnyAgent::Optimal(_) => Some(Self::Optimal),
+            AnyAgent::Adaptive(_) => Some(Self::Adaptive),
+            AnyAgent::Quality(_) => Some(Self::Quality),
+            AnyAgent::Spreader(_) => Some(Self::Spreader),
+            _ => None,
+        };
+        let first = variant(agents.first()?)?;
+        agents
+            .iter()
+            .all(|agent| variant(agent) == Some(first))
+            .then_some(first)
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// An agent type a batched round steps in place over a colony's
+/// [`AnyAgent`] slots: one of the [`UniformVariant`] types, whose loop is
+/// monomorphized on the concrete agent, or `AnyAgent` itself (the
+/// identity projection, one variant dispatch per ant) for everything
+/// else. Sealed: the variant set is the enum's.
+pub trait Projected: Agent + Send + sealed::Sealed {
+    /// Projects one slot onto this type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds a different variant — a uniform colony's
+    /// loop was handed a foreign agent.
+    fn project(slot: &mut AnyAgent) -> &mut Self;
+
+    /// The fused round transition, in the same observe → snapshot →
+    /// choose(`round + 1`) order as [`AnyAgent::observe_choose`].
+    #[inline]
+    fn observe_choose(&mut self, round: u64, outcome: Option<&Outcome>) -> (Action, AgentSnapshot) {
+        fused_transition!(self, round, outcome)
+    }
+}
+
+impl sealed::Sealed for AnyAgent {}
+
+impl Projected for AnyAgent {
+    #[inline]
+    fn project(slot: &mut AnyAgent) -> &mut Self {
+        slot
+    }
+
+    #[inline]
+    fn observe_choose(&mut self, round: u64, outcome: Option<&Outcome>) -> (Action, AgentSnapshot) {
+        // The inherent method: one variant dispatch for the whole transition.
+        AnyAgent::observe_choose(self, round, outcome)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn foreign_slot(expected: &str, slot: &AnyAgent) -> ! {
+    panic!("a uniform {expected} colony holds a foreign agent: {slot:?}")
+}
+
+/// Implements [`Projected`] for each uniform variant's concrete type.
+macro_rules! projected {
+    ($($variant:ident => $agent:ty),* $(,)?) => {$(
+        impl sealed::Sealed for $agent {}
+
+        impl Projected for $agent {
+            #[inline]
+            fn project(slot: &mut AnyAgent) -> &mut Self {
+                match slot {
+                    AnyAgent::$variant(agent) => agent,
+                    other => foreign_slot(stringify!($variant), other),
+                }
+            }
+        }
+    )*};
+}
+
+projected! {
+    Simple => SimpleAnt,
+    Optimal => OptimalAnt,
+    Adaptive => AdaptiveAnt,
+    Quality => QualityAnt,
+    Spreader => SpreaderAnt,
 }
 
 impl std::fmt::Debug for AnyAgent {
@@ -321,6 +454,24 @@ mod tests {
         assert_eq!(any.committed_nest(), Some(NestId::candidate(2)));
         assert_eq!(any.label(), "probe");
         assert!(format!("{any:?}").contains("Custom"));
+    }
+
+    #[test]
+    fn any_agent_stride_is_pinned() {
+        // Uniform colonies stream this enum directly every round: a
+        // variant that grows it widens every colony's stride.
+        assert!(
+            std::mem::size_of::<AnyAgent>() <= 48,
+            "AnyAgent grew to {} bytes",
+            std::mem::size_of::<AnyAgent>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "foreign agent")]
+    fn projecting_a_foreign_slot_panics() {
+        let mut slot: AnyAgent = IdlerAnt::new().into();
+        let _ = OptimalAnt::project(&mut slot);
     }
 
     #[test]

@@ -73,14 +73,13 @@ pub mod byzantine;
 pub mod colony;
 pub mod columns;
 pub mod problem;
-pub mod table;
 
 #[cfg(test)]
 pub(crate) mod testutil;
 
 pub use adaptive::{AdaptiveAnt, AdaptivePolicy};
 pub use agent::{Agent, AgentRole, BoxedAgent, CyclePhase};
-pub use any::AnyAgent;
+pub use any::{AnyAgent, Projected, UniformVariant};
 pub use byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
 pub use colony::{AgentSnapshot, CensusDelta, Colony, RoleCensus};
 pub use columns::{ColumnsMut, SnapshotColumns};
@@ -89,6 +88,3 @@ pub use optimal::OptimalAnt;
 pub use quality::QualityAnt;
 pub use simple::{LinearPolicy, RecruitPolicy, SimpleAnt, UrnAnt, UrnOptions};
 pub use spreader::{SpreadStrategy, SpreaderAnt};
-pub use table::{
-    AgentColumns, AgentColumnsMut, DenseRows, DenseRowsMut, UrnColumns, UrnColumnsMut,
-};

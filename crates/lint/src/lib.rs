@@ -35,10 +35,10 @@
 //!    processing order, which is exactly what `round_threads`
 //!    determinism (PR 5) forbids.
 //! 6. **Confined row draws** (`raw-row-draw`): batched round bodies —
-//!    the agent-state table impls and the executor — never draw a
-//!    per-row coin inline. Every draw a table round consumes goes
-//!    through the shared urn state machine (`UrnRefMut::recruit_draw`,
-//!    the oracle's own draw site). The rule covers both hazard classes: a
+//!    the executor, and `impl` blocks of the listed batched-round types
+//!    — never draw a per-row coin inline. Every draw a batched round
+//!    consumes goes through the urn agent's own state machine
+//!    (`UrnAnt::recruit_draw`, the oracle's own draw site). The rule covers both hazard classes: a
 //!    stateful `.random_bool(...)`-style call would desynchronize a
 //!    row's stream from the oracle's, and an ad-hoc keyed
 //!    `.coin(...)`/`.word(...)` call would duplicate the draw-site

@@ -25,11 +25,12 @@ pub const CHUNK_PHASE_FILES: [&str; 1] = ["crates/sim/src/executor.rs"];
 /// Types whose `impl` blocks are chunk-phase code wherever they live:
 /// the per-chunk round views workers iterate in parallel, the SoA
 /// snapshot-column bands the executor splits across workers, and the
-/// per-algorithm agent-state tables (`hh_core::table`) whose bands run
-/// the batched choose/observe passes under the pool. Their impls must
-/// draw only from per-ant randomness (the agent tables carry one
-/// `DrawKey` per row; keyed draws are pure functions of `(key, round)`,
-/// so chunk splits cannot reorder them).
+/// agent-state column and row-band types any batched round store would
+/// use (none exists today: batched rounds step the `AnyAgent` vector;
+/// the names stay listed so a reintroduced store is covered from its
+/// first line). Their impls must draw only from per-ant randomness
+/// (keyed draws are pure functions of `(key, round)`, so chunk splits
+/// cannot reorder them).
 pub const CHUNK_PHASE_TYPES: [&str; 10] = [
     "RelocationChunk",
     "OutcomeChunk",
@@ -43,10 +44,11 @@ pub const CHUNK_PHASE_TYPES: [&str; 10] = [
     "DenseRowsMut",
 ];
 
-/// Types whose impls form the *batched round bodies* of the
-/// per-algorithm agent-state tables: every coin a batched round
-/// consumes must come from the shared scalar state machine, never an
-/// inline draw call. (The environment's chunk views — `RelocationChunk`,
+/// Types whose impls would form the *batched round bodies* of a
+/// per-algorithm agent-state store (none exists today; see
+/// [`CHUNK_PHASE_TYPES`]): every coin a batched round consumes must
+/// come from the agent's own scalar state machine, never an inline
+/// draw call. (The environment's chunk views — `RelocationChunk`,
 /// `OutcomeChunk` — draw their per-ant streams in place by design and
 /// are deliberately not listed.)
 pub const BATCHED_ROUND_TYPES: [&str; 6] = [
@@ -376,7 +378,7 @@ fn shared_stream(
 /// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`BATCHED_ROUND_TYPES`]
 /// anywhere in the engine) must not evaluate per-row draws inline.
 /// Every draw a batched round consumes comes from the shared scalar
-/// state machine (`UrnRefMut::recruit_draw`, outside these scopes).
+/// state machine (`UrnAnt::recruit_draw`, outside these scopes).
 /// Two hazard classes, one confinement: a stateful
 /// [`RAW_DRAW_METHODS`] call desynchronizes a row's stream from the
 /// oracle's (or double-draws it) the moment the pass is split across

@@ -94,11 +94,11 @@ fn every_shared_stream_is_flagged_in_chunk_phase_files() {
 
 #[test]
 fn shared_stream_draws_in_agent_table_impls_are_flagged() {
-    // The per-algorithm agent-state tables (`hh_core::table`) are
-    // chunk-phase types: their bands run the batched choose/observe
-    // passes under the worker pool, so a shared-stream draw inside one
-    // of their impls is order-dependent even though the file lives in
-    // hh-core, outside `CHUNK_PHASE_FILES`.
+    // The agent-state store types listed in `CHUNK_PHASE_TYPES` are
+    // chunk-phase types wherever they live: a store's bands would run
+    // the batched choose/observe passes under the worker pool, so a
+    // shared-stream draw inside one of their impls is order-dependent
+    // even in a file outside `CHUNK_PHASE_FILES`.
     let diags = lint_fixture("shared_stream_table.rs", "crates/core/src/table.rs");
     assert_eq!(diags, vec![("shared-stream".to_string(), 13)]);
 }

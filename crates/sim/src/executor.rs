@@ -20,14 +20,15 @@
 //!   a persistent [`RoundScratch`]; the environment's own pairing scratch
 //!   is reused the same way ([`Environment::step_into`]). After the first
 //!   round, stepping allocates nothing.
-//! * **Static dispatch, one agent store per round.** Agents are
+//! * **Static dispatch, one agent store.** Agents are
 //!   [`AnyAgent`](hh_core::AnyAgent) variants in one contiguous vector;
-//!   only the `Custom` escape hatch pays a vtable call. A homogeneous
-//!   colony runs its batched rounds on a per-algorithm
-//!   [`AgentColumns`] table instead, gathered at its first batched round
-//!   and authoritative from then on (see
-//!   [`Simulation::uses_agent_columns`]). Either way the round body is
-//!   the same generic function, dispatched once per round.
+//!   only the `Custom` escape hatch pays a vtable call. A uniform colony
+//!   (every ant the same [`UniformVariant`]) runs its batched rounds as a
+//!   loop monomorphized on the concrete agent type, projecting each slot
+//!   of that same vector in place (see
+//!   [`Simulation::uses_agent_columns`]); mixes dispatch per ant. Either
+//!   way the round body is the same generic function, dispatched once
+//!   per round.
 //! * **Incremental census.** The colony's [`RoleCensus`] and the
 //!   executor's live-honest commitment tally are maintained per stepped
 //!   agent ([`Colony::refresh`]), never by rescanning the colony, so the
@@ -54,8 +55,8 @@ use std::sync::Mutex;
 use hh_core::colony::AgentSnapshot;
 use hh_core::columns::ColumnsMut;
 use hh_core::{
-    Agent, AgentColumns, AgentColumnsMut, AnyAgent, CensusDelta, Colony, DenseRowsMut,
-    RecruitPolicy, UrnColumnsMut,
+    AdaptiveAnt, AnyAgent, CensusDelta, Colony, OptimalAnt, Projected, QualityAnt, SimpleAnt,
+    SpreaderAnt, UniformVariant,
 };
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
@@ -413,18 +414,12 @@ pub struct Simulation {
     worker_scratch: Vec<WorkerScratch>,
     /// The persistent pool (`round_threads > 1`, unperturbed only).
     pool: Option<WorkerPool>,
-    /// The colony is homogeneous modulo idlers (checked once at
-    /// construction): unperturbed SoA rounds batch it through
-    /// per-algorithm state columns. See
+    /// The variant every ant shares, if the colony is uniform. Checked
+    /// once at construction: nothing inside a `Simulation` can change an
+    /// ant's variant. Batched rounds of a uniform colony run the loop
+    /// monomorphized on that variant's type. See
     /// [`uses_agent_columns`](Simulation::uses_agent_columns).
-    table_eligible: bool,
-    /// The agent store of batched rounds for an eligible colony. It is
-    /// gathered at the first batched round and, while it exists, holds
-    /// the authoritative agent state: the agent vector is stale until
-    /// [`agents`](Simulation::agents)/[`colony`](Simulation::colony)
-    /// scatter it back. Selecting the scalar engine scatters and drops
-    /// it, so scalar rounds always find the agent vector current.
-    table: Option<AgentColumns>,
+    uniform: Option<UniformVariant>,
     /// The round being executed, set before a round starts and cleared
     /// when it completes. Still set at the next call only if that round
     /// unwound (a panicking agent or pool job), which poisons the
@@ -486,7 +481,7 @@ impl Simulation {
         }
         let perturbations = perturbations.unwrap_or_else(|| Perturbations::none(n));
         let unperturbed = perturbations.is_none();
-        let table_eligible = AgentColumns::eligible(&colony);
+        let uniform = UniformVariant::of(&colony);
         Ok(Self {
             env,
             colony,
@@ -503,8 +498,7 @@ impl Simulation {
             chunk_bounds: vec![0, n],
             worker_scratch: vec![WorkerScratch::default()],
             pool: None,
-            table_eligible,
-            table: None,
+            uniform,
             unfinished_round: None,
         })
     }
@@ -587,17 +581,9 @@ impl Simulation {
     /// `with_round_threads` / `with_engine` / `with_chunk_bounds` calls
     /// ends at the same configuration, thread count included (pinned by
     /// `builder_order_never_drops_threads`).
-    ///
-    /// The scalar engine steps the agent vector, so choosing it scatters
-    /// the agent-state table back and drops it; the next SoA round
-    /// gathers a fresh one.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        if engine == EngineKind::Scalar {
-            self.scatter_table();
-            self.table = None;
-        }
         self.rebuild_pool();
         self
     }
@@ -625,18 +611,18 @@ impl Simulation {
     /// `true` if every batched round — [`step`](Self::step),
     /// [`step_in_place`](Self::step_in_place),
     /// [`run_observed`](Self::run_observed) and
-    /// [`run_to_convergence`](Self::run_to_convergence) alike — runs on
-    /// per-algorithm agent-state columns ([`hh_core::AgentColumns`]):
-    /// the colony is homogeneous (urn colonies modulo idlers; optimal,
-    /// quality, and spreader colonies uniformly), the simulation is
-    /// unperturbed, and the SoA engine is selected. Heterogeneous
-    /// mixes, `Custom` agents, and adversaries run the same batched
-    /// round on the `AnyAgent` vector; perturbed runs and the scalar
-    /// oracle take the scalar round — all bit-identically, by the
-    /// engine contract.
+    /// [`run_to_convergence`](Self::run_to_convergence) alike — runs the
+    /// per-algorithm loop: the simulation is unperturbed, the SoA engine
+    /// is selected, and the colony is uniform (every ant the same
+    /// [`UniformVariant`], whatever its per-ant options), so the loop is
+    /// monomorphized on that variant's type and projects each agent slot
+    /// in place. Idler, heterogeneous, Byzantine and `Custom` mixes run
+    /// the same batched round with one variant dispatch per ant;
+    /// perturbed runs and the scalar oracle take the scalar round — all
+    /// bit-identically, by the engine contract.
     #[must_use]
     pub fn uses_agent_columns(&self) -> bool {
-        self.table_eligible && self.unperturbed && self.engine == EngineKind::Soa
+        self.uniform.is_some() && self.unperturbed && self.engine == EngineKind::Soa
     }
 
     /// The configured number of intra-round parts.
@@ -651,37 +637,23 @@ impl Simulation {
         &self.env
     }
 
-    /// The colony (read-only view; `&mut self` because when the batched
-    /// agent-state table holds the authoritative state, it is scattered
-    /// back into the agent vector here before the borrow is handed out).
+    /// The colony (read-only view). Every round path steps this one
+    /// agent vector in place, so it is current after every round.
     #[must_use]
-    pub fn agents(&mut self) -> &[AnyAgent] {
-        self.scatter_table();
+    pub fn agents(&self) -> &[AnyAgent] {
         &self.colony
     }
 
-    /// The colony with its cached census (read-only view; `&mut self`
-    /// for the same scatter as [`agents`](Self::agents)).
+    /// The colony with its cached census (read-only view).
     #[must_use]
-    pub fn colony(&mut self) -> &Colony {
-        self.scatter_table();
+    pub fn colony(&self) -> &Colony {
         &self.colony
     }
 
     /// Every agent's observable state, in ant order — served from the
-    /// colony's snapshot columns, which every round path keeps current,
-    /// so this needs **no** scatter.
+    /// colony's snapshot columns, which every round path keeps current.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
         self.colony.iter_snapshots()
-    }
-
-    /// Writes the agent-state table's rows — draw keys included — back
-    /// into the agent vector, if a table exists. The table stays the
-    /// authoritative store.
-    fn scatter_table(&mut self) {
-        if let Some(table) = &self.table {
-            table.scatter_into(self.colony.engine_split().0);
-        }
     }
 
     /// Completed rounds.
@@ -738,12 +710,12 @@ impl Simulation {
     /// per ant, and every agent chooses every round, so the `chose` mask
     /// is a constant `true` and is not materialized.
     ///
-    /// The agent store is chosen here, once per round: the
-    /// [`AgentColumns`] table when the colony is eligible (gathered at
-    /// the first batched round), the `AnyAgent` vector otherwise. Both
-    /// run the one generic round body, [`run_batched_round`], so the
-    /// phase structure cannot drift between them; the snapshot columns,
-    /// role census, and live tally are maintained identically.
+    /// The agent loop is chosen here, once per round: monomorphized on
+    /// the concrete agent type when the colony is uniform, one variant
+    /// dispatch per ant otherwise. Both are the one generic round body,
+    /// [`run_batched_round`], over the same agent vector, so the phase
+    /// structure cannot drift between them; the snapshot columns, role
+    /// census, and live tally are maintained identically.
     ///
     /// Legality is still checked at the top of the round the action
     /// executes in (identical sandboxing semantics and counters), and
@@ -751,9 +723,6 @@ impl Simulation {
     /// skipped ant must not advance its state machine — cannot occur
     /// here by definition.
     fn step_round_batched(&mut self, materialize: bool, round: u64) {
-        if self.table_eligible && self.table.is_none() {
-            self.table = AgentColumns::gather(&self.colony);
-        }
         let prechosen = std::mem::replace(&mut self.prechosen, true);
         let Self {
             env,
@@ -764,14 +733,14 @@ impl Simulation {
             pool,
             chunk_bounds,
             illegal_actions,
-            table,
+            uniform,
             ..
         } = self;
         let (agents, snapshots) = colony.engine_split();
         macro_rules! run {
-            ($store:expr) => {
-                run_batched_round(
-                    $store,
+            ($agent:ty) => {
+                run_batched_round::<$agent>(
+                    agents,
                     env,
                     snapshots,
                     scratch,
@@ -785,13 +754,13 @@ impl Simulation {
                 )
             };
         }
-        match table.as_mut().map(AgentColumns::as_band_mut) {
-            None => run!(agents),
-            Some(AgentColumnsMut::Simple(band)) => run!(band),
-            Some(AgentColumnsMut::Adaptive(band)) => run!(band),
-            Some(AgentColumnsMut::Optimal(band)) => run!(band),
-            Some(AgentColumnsMut::Quality(band)) => run!(band),
-            Some(AgentColumnsMut::Spreader(band)) => run!(band),
+        match uniform {
+            None => run!(AnyAgent),
+            Some(UniformVariant::Simple) => run!(SimpleAnt),
+            Some(UniformVariant::Optimal) => run!(OptimalAnt),
+            Some(UniformVariant::Adaptive) => run!(AdaptiveAnt),
+            Some(UniformVariant::Quality) => run!(QualityAnt),
+            Some(UniformVariant::Spreader) => run!(SpreaderAnt),
         }
         // The round barrier: fold the per-chunk census/tally deltas in
         // chunk order, then export the recruitment pairs.
@@ -820,11 +789,7 @@ impl Simulation {
     ///   the batched path's, so equal seeds must produce bit-identical
     ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
     ///   the registry catalog.
-    ///
-    /// Neither role ever holds an agent-state table, so this path steps
-    /// the agent vector directly.
     fn step_round_scalar(&mut self, materialize: bool, round: u64) {
-        debug_assert!(self.table.is_none(), "scalar rounds step the agent vector");
         let n = self.env.n();
         // If the previous round ran on the pre-chosen pipeline (the SoA
         // engine fuses `choose(round + 1)` into its agent pass), the
@@ -981,9 +946,7 @@ impl Simulation {
     /// executed (counted from the simulation's current round).
     ///
     /// Detectors read the snapshot columns and the live tally, which
-    /// every round path maintains, so a run on the agent-state table
-    /// ([`uses_agent_columns`](Self::uses_agent_columns)) never scatters
-    /// the table back to the agent vector.
+    /// every round path maintains.
     ///
     /// # Errors
     ///
@@ -1076,102 +1039,20 @@ impl Simulation {
     }
 }
 
-/// The agent store of a batched unperturbed round: a band of either the
-/// `AnyAgent` vector (mixed colonies) or the gathered per-algorithm state
-/// table (homogeneous colonies). `run_batched_round` is monomorphized per
-/// implementor, so the colony-wide dispatch happens once per round and
-/// the per-ant loops underneath are match-free.
-trait BatchAgents: Send {
-    /// Splits into disjoint `[0, mid)` / `[mid, len)` bands, mirroring
-    /// `slice::split_at_mut`.
-    fn split_band(self, mid: usize) -> (Self, Self)
-    where
-        Self: Sized;
-
-    /// Ant `local`'s action for `round` (the priming choose only).
-    fn choose_one(&mut self, local: usize, round: u64) -> Action;
-
-    /// Ant `local`'s fused observe → snapshot → choose(`round + 1`)
-    /// transition; must match `AnyAgent::observe_choose` exactly.
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot);
-}
-
-impl BatchAgents for &mut [AnyAgent] {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self[local].choose(round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self[local].observe_choose(round, outcome)
-    }
-}
-
-impl<P: RecruitPolicy + Copy> BatchAgents for UrnColumnsMut<'_, P> {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self.choose(local, round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self.observe_choose(local, round, outcome)
-    }
-}
-
-impl<A: Agent + Clone + Send> BatchAgents for DenseRowsMut<'_, A> {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self.choose(local, round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self.observe_choose(local, round, outcome)
-    }
-}
-
-/// The batched round body, generic over the agent store: phase 1
-/// (choose if not pre-chosen, validate/sandbox, relocate, tally), the
-/// serial pairing middle, and phase 2 (outcome → observe → choose
-/// `round + 1`, snapshot refresh). The caller folds the per-worker
-/// census/tally deltas afterwards.
+/// The batched round body, generic over the agent type every slot
+/// projects onto ([`Projected`]): phase 1 (choose if not pre-chosen,
+/// validate/sandbox, relocate, tally), the serial pairing middle, and
+/// phase 2 (outcome → observe → choose `round + 1`, snapshot refresh).
+/// The caller folds the per-worker census/tally deltas afterwards.
+///
+/// `A` is a concrete agent type for a uniform colony, so the per-ant
+/// loops are monomorphized on it and the per-ant variant dispatch
+/// reduces to one predictable projection; `A = AnyAgent` dispatches per
+/// ant for mixes. Either way the loops step the colony's own agent
+/// vector in place.
 ///
 /// The engine is memory-bound at scale — the dominant cost of a round
-/// is streaming the agent store — so a round makes exactly ONE pass over
+/// is streaming the agent vector — so a round makes exactly ONE pass over
 /// the agents: round r's observe is fused with round r+1's choose
 /// (agents are independent, and between rounds nothing else touches
 /// them), and the pre-chosen actions are stashed in `next_actions` for
@@ -1184,8 +1065,8 @@ impl<A: Agent + Clone + Send> BatchAgents for DenseRowsMut<'_, A> {
 /// pairing runs serially. See the module docs for why every thread
 /// count is bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn run_batched_round<A: BatchAgents>(
-    full_agents: A,
+fn run_batched_round<A: Projected>(
+    full_agents: &mut [AnyAgent],
     env: &mut Environment,
     full_snapshots: ColumnsMut<'_>,
     scratch: &mut RoundScratch,
@@ -1216,31 +1097,28 @@ fn run_batched_round<A: BatchAgents>(
         scratch.ran.resize(n, true);
     }
 
-    // The agent store, split once into the round's chunk bands: phase 1
-    // borrows them to choose, phase 2 consumes them.
-    let mut bands: [Option<A>; MAX_ROUND_THREADS] = std::array::from_fn(|_| None);
-    let mut rest_agents = Some(full_agents);
+    // The agent vector, split once into the round's chunk bands: phase 1
+    // reborrows them to choose, phase 2 consumes them.
+    let mut bands: [&mut [AnyAgent]; MAX_ROUND_THREADS] = Default::default();
+    let mut rest_agents = full_agents;
     for (part, band) in bands.iter_mut().take(threads).enumerate() {
         let len = bounds[part + 1] - bounds[part];
-        let (head, tail) = rest_agents
-            .take()
-            .expect("agents remainder")
-            .split_band(len);
-        *band = Some(head);
-        rest_agents = Some(tail);
+        let (head, tail) = rest_agents.split_at_mut(len);
+        *band = head;
+        rest_agents = tail;
     }
 
     // ── Phase 1 (chunked): choose (unless pre-chosen), validate +
     // sandbox, relocate, tally populations, collect recruit calls.
     {
-        struct RelocPart<'a, A> {
-            agents: &'a mut A,
+        struct RelocPart<'a> {
+            agents: &'a mut [AnyAgent],
             chunk: RelocationChunk<'a>,
             actions: &'a mut [Action],
             ran: &'a mut [bool],
             scratch: &'a mut WorkerScratch,
         }
-        let slots: [Mutex<Option<RelocPart<'_, A>>>; MAX_ROUND_THREADS] =
+        let slots: [Mutex<Option<RelocPart<'_>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let mut rest_chunk = Some(env.relocation_view());
         let mut rest_actions = scratch.actions.as_mut_slice();
@@ -1264,10 +1142,7 @@ fn run_batched_round<A: BatchAgents>(
             let (ran, tail) = std::mem::take(&mut rest_ran).split_at_mut(len);
             rest_ran = tail;
             *slot.lock().expect("slot") = Some(RelocPart {
-                agents: band_iter
-                    .next()
-                    .and_then(Option::as_mut)
-                    .expect("agent band"),
+                agents: band_iter.next().expect("agent band"),
                 chunk,
                 actions,
                 ran,
@@ -1278,7 +1153,7 @@ fn run_batched_round<A: BatchAgents>(
             pool.as_deref_mut(),
             threads,
             &slots,
-            |_, part: RelocPart<'_, A>| {
+            |_, part: RelocPart<'_>| {
                 let RelocPart {
                     agents,
                     mut chunk,
@@ -1296,7 +1171,7 @@ fn run_batched_round<A: BatchAgents>(
                 // draws over the chunk's flat stream column.
                 for (local, action) in actions.iter_mut().enumerate() {
                     if !prechosen {
-                        *action = agents.choose_one(local, round);
+                        *action = A::project(&mut agents[local]).choose(round);
                     }
                     let idx = start + local;
                     let legal = chunk.check_action(idx, action).is_ok();
@@ -1326,7 +1201,7 @@ fn run_batched_round<A: BatchAgents>(
 
     // ── Phase 2 (chunked): the single agent pass — compute the
     // outcome, observe round `round`, choose round `round + 1`,
-    // refresh the (cache-hot) snapshot — one `observe_choose_one` per
+    // refresh the (cache-hot) snapshot — one `observe_choose` per
     // ant — and accumulate census/tally deltas per worker. In the
     // eliding mode each outcome lives only for the instant its agent
     // consumes it; materializing adds a copy into the report's
@@ -1342,9 +1217,9 @@ fn run_batched_round<A: BatchAgents>(
         );
     }
     {
-        struct OutcomePart<'a, A> {
+        struct OutcomePart<'a> {
             chunk: OutcomeChunk<'a>,
-            agents: A,
+            agents: &'a mut [AnyAgent],
             snapshots: ColumnsMut<'a>,
             next: &'a mut [Action],
             outcomes: Option<&'a mut [Outcome]>,
@@ -1352,7 +1227,7 @@ fn run_batched_round<A: BatchAgents>(
             /// This chunk's first recruiter rank (call cursor start).
             cursor: usize,
         }
-        let slots: [Mutex<Option<OutcomePart<'_, A>>>; MAX_ROUND_THREADS] =
+        let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let (full_chunk, ctx) = env.outcome_view();
         let mut rest_snapshots = Some(full_snapshots);
@@ -1395,7 +1270,7 @@ fn run_batched_round<A: BatchAgents>(
             cursor += ws.calls.len();
             *slot.lock().expect("slot") = Some(OutcomePart {
                 chunk,
-                agents: bands[part].take().expect("agent band"),
+                agents: std::mem::take(&mut bands[part]),
                 snapshots,
                 next,
                 outcomes,
@@ -1405,10 +1280,10 @@ fn run_batched_round<A: BatchAgents>(
         }
         let actions = scratch.actions.as_slice();
         let ran = scratch.ran.as_slice();
-        scatter(pool, threads, &slots, |_, part: OutcomePart<'_, A>| {
+        scatter(pool, threads, &slots, |_, part: OutcomePart<'_>| {
             let OutcomePart {
                 mut chunk,
-                mut agents,
+                agents,
                 mut snapshots,
                 next,
                 mut outcomes,
@@ -1418,7 +1293,7 @@ fn run_batched_round<A: BatchAgents>(
             scratch.census.clear();
             scratch.tally.clear();
             let start = chunk.start();
-            for (local, next) in next.iter_mut().enumerate() {
+            for (local, (next, slot)) in next.iter_mut().zip(agents).enumerate() {
                 let idx = start + local;
                 // Every row drains its outcome, in order: the call
                 // advances the chunk's recruit-call cursor.
@@ -1427,7 +1302,7 @@ fn run_batched_round<A: BatchAgents>(
                     out[local] = outcome;
                 }
                 let observed = ran[idx].then_some(&outcome);
-                let (action, new) = agents.observe_choose_one(local, round, observed);
+                let (action, new) = A::project(slot).observe_choose(round, observed);
                 *next = action;
                 let old = snapshots.get(local);
                 if new != old {
@@ -1795,10 +1670,9 @@ mod tests {
         // the keyed-draw migration; this test pins the consume-buffer
         // path itself so the contract stays honored for agents that
         // are not.)
-        // The uniform colony steps on the agent-state table, so the
-        // switch also crosses the one store change a simulation can
-        // make: table → scatter + drop → agent vector, and back to a
-        // fresh gather.
+        // The uniform colony runs the per-algorithm loop, so the switch
+        // also crosses from that loop to the scalar oracle and back;
+        // both step the same agent vector, with nothing to hand over.
         // Switch after an odd number of rounds so the buffered choices
         // are for an even (recruitment) round: that is where urn ants
         // draw their recruit coin in `choose`.
@@ -1822,7 +1696,7 @@ mod tests {
         }
         assert_eq!(switched.role_census(), scalar.role_census());
         // And back: the scalar path leaves no pre-chosen actions, so the
-        // batched path re-gathers the table and chooses in phase 1.
+        // batched path chooses in phase 1.
         switched.step().unwrap();
         scalar.step().unwrap();
         switched = switched.with_engine(EngineKind::Soa);
@@ -1909,32 +1783,139 @@ mod tests {
     }
 
     #[test]
-    fn table_runs_interleave_with_stepping_bit_identically() {
+    fn uniform_runs_interleave_with_stepping_bit_identically() {
         // Convergence runs interleaved with single steps and agent reads
-        // all run on the one agent-state table, and must match an
-        // uninterrupted scalar-engine twin: every read scatters agent
-        // state *and* draw keys exactly, and leaves the table
-        // authoritative.
+        // all run the per-algorithm loop over the one agent vector, and
+        // must match an uninterrupted scalar-engine twin: every read sees
+        // the agent state of the last completed round exactly.
         let n = 128;
         let rule = ConvergenceRule::stable_commitment(2);
-        let mut table = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
+        let mut batched = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
         let mut oracle = Simulation::new(env(n, 3, 83), colony::simple(n, 83))
             .unwrap()
             .with_engine(EngineKind::Scalar);
-        assert!(table.uses_agent_columns());
+        assert!(batched.uses_agent_columns());
         for _ in 0..4 {
-            let a = table.run_to_convergence(rule, 25).unwrap();
+            let a = batched.run_to_convergence(rule, 25).unwrap();
             let b = oracle.run_to_convergence(rule, 25).unwrap();
             assert_eq!(a, b);
-            assert_eq!(table.step().unwrap(), oracle.step().unwrap());
-            let scattered: Vec<_> = table.agents().iter().map(AgentSnapshot::of).collect();
+            assert_eq!(batched.step().unwrap(), oracle.step().unwrap());
+            let read: Vec<_> = batched.agents().iter().map(AgentSnapshot::of).collect();
             let expected: Vec<_> = oracle.agents().iter().map(AgentSnapshot::of).collect();
-            assert_eq!(scattered, expected);
+            assert_eq!(read, expected);
         }
-        assert!(table.uses_agent_columns());
-        assert_eq!(table.role_census(), oracle.role_census());
-        assert_eq!(table.env().counts(), oracle.env().counts());
-        assert_eq!(table.env().locations(), oracle.env().locations());
+        assert!(batched.uses_agent_columns());
+        assert_eq!(batched.role_census(), oracle.role_census());
+        assert_eq!(batched.env().counts(), oracle.env().counts());
+        assert_eq!(batched.env().locations(), oracle.env().locations());
+    }
+
+    #[test]
+    fn agent_vector_is_current_after_every_batched_round() {
+        // Batched rounds step the colony's own agent vector in place, so
+        // `agents()` (a plain `&self` read) agrees with the snapshot
+        // columns the round refreshed — on every round, chunked.
+        let n = 96;
+        let mut sim = Simulation::new(env(n, 3, 77), colony::simple(n, 77))
+            .unwrap()
+            .with_round_threads(2);
+        assert!(sim.uses_agent_columns());
+        let mut rounds = 0u64;
+        let outcome = sim
+            .run_observed(ConvergenceRule::stable_commitment(2), 5_000, |sim, _| {
+                let read: Vec<_> = sim.agents().iter().map(AgentSnapshot::of).collect();
+                let cached: Vec<_> = sim.iter_snapshots().collect();
+                assert_eq!(
+                    read,
+                    cached,
+                    "agent vector stale after round {}",
+                    sim.round()
+                );
+                rounds += 1;
+            })
+            .unwrap();
+        assert!(outcome.solved.is_some());
+        assert_eq!(rounds, outcome.rounds_run);
+    }
+
+    #[test]
+    fn uniform_classification_matches_the_contract() {
+        use hh_core::{
+            AdaptiveAnt, BadNestRecruiter, IdlerAnt, QualityAnt, SpreadStrategy, SpreaderAnt,
+            UniformVariant, UrnOptions,
+        };
+        let n = 12;
+        let uniform = |agents: Colony| {
+            let variant = UniformVariant::of(&agents);
+            let sim = Simulation::new(env(n, 2, 71), agents).unwrap();
+            assert_eq!(sim.uses_agent_columns(), variant.is_some());
+            variant
+        };
+
+        // Uniform colonies of each of the five batched variants; per-ant
+        // parameters may differ, since every slot carries its own.
+        assert_eq!(uniform(colony::simple(n, 1)), Some(UniformVariant::Simple));
+        assert_eq!(uniform(colony::optimal(n)), Some(UniformVariant::Optimal));
+        let adaptive: Colony = (0..n)
+            .map(|i| AnyAgent::from(AdaptiveAnt::new(n, i as u64)))
+            .collect::<Vec<_>>()
+            .into();
+        assert_eq!(uniform(adaptive), Some(UniformVariant::Adaptive));
+        let quality: Colony = (0..n)
+            .map(|i| AnyAgent::from(QualityAnt::new(n, i as u64, 2.0)))
+            .collect::<Vec<_>>()
+            .into();
+        assert_eq!(uniform(quality), Some(UniformVariant::Quality));
+        let spreaders: Colony = (0..n)
+            .map(|i| AnyAgent::from(SpreaderAnt::new(SpreadStrategy::WaitAtHome, i as u64)))
+            .collect::<Vec<_>>()
+            .into();
+        assert_eq!(uniform(spreaders), Some(UniformVariant::Spreader));
+
+        // Idler mixes, `Custom` boxes, Byzantine and heterogeneous mixes
+        // dispatch per ant.
+        let mut idlers = colony::simple(n, 2);
+        idlers.replace(2, IdlerAnt::new());
+        assert_eq!(uniform(idlers), None);
+        let mut custom = colony::simple(n, 3);
+        custom.replace(0, AnyAgent::custom(SimpleAnt::new(n, 100)));
+        assert_eq!(uniform(custom), None);
+        let mut byzantine = colony::simple(n, 4);
+        byzantine.replace(5, BadNestRecruiter::new());
+        assert_eq!(uniform(byzantine), None);
+        let mut mixed = colony::simple(n, 5);
+        mixed.replace(0, AdaptiveAnt::new(n, 0));
+        assert_eq!(uniform(mixed), None);
+
+        // Paper and hardened `SimpleAnt` options now mix in one uniform
+        // colony, bit-identically to the scalar oracle at every thread
+        // count.
+        let n = 64;
+        let options_mix = || {
+            let mut agents = colony::simple(n, 6);
+            for idx in (0..n).step_by(3) {
+                agents.replace(
+                    idx,
+                    SimpleAnt::with_options(n, 600 + idx as u64, UrnOptions::hardened()),
+                );
+            }
+            Simulation::new(env(n, 3, 6), agents).unwrap()
+        };
+        let rule = ConvergenceRule::stable_commitment(2);
+        let mut oracle = options_mix().with_engine(EngineKind::Scalar);
+        let expected = oracle.run_to_convergence(rule, 10_000).unwrap();
+        assert!(expected.solved.is_some());
+        for threads in [1usize, 2, 8] {
+            let mut sim = options_mix().with_round_threads(threads);
+            assert!(sim.uses_agent_columns(), "an options mix is uniform");
+            assert_eq!(
+                sim.run_to_convergence(rule, 10_000).unwrap(),
+                expected,
+                "options mix diverged at {threads} round threads"
+            );
+            assert_eq!(sim.role_census(), oracle.role_census());
+            assert_eq!(sim.env().locations(), oracle.env().locations());
+        }
     }
 
     #[test]

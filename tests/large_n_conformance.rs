@@ -120,9 +120,9 @@ fn large_scenarios_match_the_scalar_oracle() {
 #[test]
 #[ignore = "release-mode CI job; run with -- --ignored"]
 fn large_uniform_colony_agent_columns_match_the_scalar_oracle() {
-    // The n = 4096 catalog entries run optimal ants, which the batched
-    // agent-state table does not cover; this row holds the table path
-    // itself to the oracle at a size past every catalog colony.
+    // The n = 4096 catalog entries run optimal ants; this row holds the
+    // per-algorithm loop of a simple colony to the oracle at a size past
+    // every catalog colony.
     let n = 8192;
     let seed = 97;
     let build = |engine: EngineKind, threads: usize| {
@@ -146,7 +146,7 @@ fn large_uniform_colony_agent_columns_match_the_scalar_oracle() {
         let mut soa = build(EngineKind::Soa, threads);
         assert!(
             soa.uses_agent_columns(),
-            "a uniform simple colony must engage the agent-state table"
+            "a uniform simple colony must run the per-algorithm loop"
         );
         let outcome = soa.run_to_convergence(rule, 20_000).expect("SoA runs");
         assert_eq!(

@@ -187,16 +187,16 @@ proptest! {
         }
     }
 
-    /// The batched agent-state table is bit-identical to the scalar
-    /// oracle: every SoA round of an eligible colony runs on it from
-    /// round 1, and under adversarial chunk bounds and every covered
-    /// thread count it must reproduce the oracle exactly — across every
-    /// colony family on the column path (simple, optimal, quality,
-    /// spreader), with `agents()` reads interleaved mid-run so the
-    /// table → agent scatter is exercised at arbitrary step/run/read
-    /// boundaries, not just run exits.
+    /// The per-algorithm loop of a uniform colony is bit-identical to
+    /// the scalar oracle: every SoA round of a uniform colony runs it
+    /// from round 1, and under adversarial chunk bounds and every
+    /// covered thread count it must reproduce the oracle exactly —
+    /// across every uniform colony family (simple, optimal, quality,
+    /// spreader), with `agents()` reads interleaved mid-run so the agent
+    /// vector is checked at arbitrary step/run/read boundaries, not just
+    /// run exits.
     #[test]
-    fn agent_table_matches_the_oracle_across_interleaved_reads(
+    fn uniform_loop_matches_the_oracle_across_interleaved_reads(
         n in 4usize..72,
         k in 2usize..5,
         seed in any::<u64>(),
@@ -236,11 +236,10 @@ proptest! {
             .with_chunk_bounds(bounds);
         prop_assert!(
             soa.uses_agent_columns(),
-            "family {} must ride the batched agent-state table", family
+            "family {} must run the per-algorithm loop", family
         );
         let rule = ConvergenceRule::commitment();
-        let snapshots = |sim: &mut Simulation| -> Vec<AgentSnapshot> {
-            // `agents()` scatters the table back into the agent vector.
+        let snapshots = |sim: &Simulation| -> Vec<AgentSnapshot> {
             sim.agents().iter().map(AgentSnapshot::of).collect()
         };
         for (at, &op) in ops.iter().enumerate() {
@@ -263,8 +262,8 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(
-                        snapshots(&mut oracle), snapshots(&mut soa),
-                        "op {}: scattered agents diverged from the oracle", at
+                        snapshots(&oracle), snapshots(&soa),
+                        "op {}: agent reads diverged from the oracle", at
                     );
                 }
             }
@@ -274,8 +273,8 @@ proptest! {
             prop_assert_eq!(oracle.role_census(), soa.role_census());
         }
         prop_assert_eq!(
-            snapshots(&mut oracle), snapshots(&mut soa),
-            "final scatter diverged from the oracle"
+            snapshots(&oracle), snapshots(&soa),
+            "final agent read diverged from the oracle"
         );
     }
 }

@@ -228,8 +228,8 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
             .with_chunk_bounds(bounds.clone());
         assert!(
             sim.uses_agent_columns(),
-            "baseline-128 is a uniform simple colony: the batched \
-             agent-state table must engage"
+            "baseline-128 is a uniform simple colony: the \
+             per-algorithm loop must engage"
         );
         let outcome = sim.run_to_convergence(rule, budget).expect("SoA runs");
         assert_eq!(
@@ -239,16 +239,15 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
     }
 }
 
-/// The batched agent-state table engages exactly for homogeneous
-/// colonies: uniform simple/adaptive mixes (idlers included) and — since
-/// the dense-row extension — uniform optimal/quality/spreader colonies
-/// qualify; heterogeneous and Byzantine mixes fall back to the
+/// The per-algorithm loop engages exactly for uniform colonies (every
+/// ant one simple, adaptive, optimal, quality or spreader variant);
+/// idler, heterogeneous and Byzantine mixes dispatch per ant on the
 /// `AnyAgent` path.
 #[test]
 fn agent_columns_engage_for_homogeneous_catalog_entries() {
     let expectations = [
         ("baseline-128", true),
-        ("idle-quarter-128", true),
+        ("idle-quarter-128", false),
         ("optimal-1024", true),
         ("mega-colony-4096", true),
         ("quality-tie-128", true),
