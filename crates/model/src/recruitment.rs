@@ -19,6 +19,15 @@
 //! * a chosen partner is only matched if it has neither recruited nor been
 //!   recruited already.
 //!
+//! The kernel keeps **one state word per participant** (free, succeeded,
+//! or its recruiter's index; see [`Pairing`]) and runs the greedy loop
+//! without data-dependent branches, yet consumes the stream exactly as
+//! the line-by-line algorithm does: the shuffle of the active ants, then
+//! one draw per active ant that is still free at its turn. An ant
+//! recruited before its turn consumes **no** draw, so the matching, the
+//! assigned nests and the RNG end state are a pure function of the
+//! calls and the incoming stream state.
+//!
 //! The pairing is exposed publicly so that Lemma 2.1 ("an active recruiter
 //! succeeds with probability ≥ 1/16") can be validated by direct
 //! Monte-Carlo simulation — see experiment F2.
@@ -75,14 +84,16 @@ impl RecruitCall {
 /// Indices throughout refer to positions in the `calls` slice passed to
 /// [`pair_ants`], not to ant ids; use [`Pairing::pairs`] for an id-level
 /// view.
+///
+/// The matching is held as **one state word per participant**: the
+/// participant is free, has succeeded as a recruiter (`(x, ·) ∈ M`), or
+/// holds the index of its recruiter (`(r, x) ∈ M`; its own index for a
+/// self-pair, which is both). Algorithm 1's line-3 and line-5 checks
+/// read this one array, and every accessor below is derived from it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Pairing {
-    /// `recruited_by[x] = a*` iff `(a*, x) ∈ M`; [`NOT_RECRUITED`]
-    /// otherwise. Stored compactly — the pairing is rebuilt every round,
-    /// so its arrays are pure memory traffic.
-    recruited_by: Vec<u32>,
-    /// `succeeded[a] = true` iff `(a, ·) ∈ M`.
-    succeeded: Vec<bool>,
+    /// [`FREE`], [`SUCCEEDED`], or the recruiter's call index.
+    state: Vec<u32>,
     /// The nest id each participant's call returns.
     assigned: Vec<NestId>,
     /// Matched pairs `(recruiter, recruited)` in match order, as ant ids.
@@ -92,8 +103,12 @@ pub struct Pairing {
     matched: Vec<(u32, u32)>,
 }
 
-/// Sentinel for "no recruiter" in the compact `recruited_by` array.
-const NOT_RECRUITED: u32 = u32::MAX;
+/// State word of a participant that has neither recruited nor been
+/// recruited.
+const FREE: u32 = u32::MAX;
+/// State word of a participant that recruited a *different* participant.
+/// Every word below it is a recruiter's call index.
+const SUCCEEDED: u32 = u32::MAX - 1;
 
 impl Pairing {
     /// Returns the number of participants.
@@ -124,10 +139,8 @@ impl Pairing {
     /// A self-pair reports the participant's own index.
     #[must_use]
     pub fn recruited_by(&self, idx: usize) -> Option<usize> {
-        match self.recruited_by[idx] {
-            NOT_RECRUITED => None,
-            recruiter => Some(recruiter as usize),
-        }
+        let word = self.state[idx];
+        (word < SUCCEEDED).then_some(word as usize)
     }
 
     /// Returns `true` iff participant `idx` recruited successfully, i.e.
@@ -135,7 +148,8 @@ impl Pairing {
     /// do in the paper.
     #[must_use]
     pub fn succeeded(&self, idx: usize) -> bool {
-        self.succeeded[idx]
+        let word = self.state[idx];
+        word == SUCCEEDED || word as usize == idx
     }
 
     /// Returns `true` iff participant `idx` was recruited by a *different*
@@ -143,8 +157,8 @@ impl Pairing {
     /// recruiter's, not the participant's own).
     #[must_use]
     pub fn was_recruited_by_other(&self, idx: usize) -> bool {
-        let recruiter = self.recruited_by[idx];
-        recruiter != NOT_RECRUITED && recruiter as usize != idx
+        let word = self.state[idx];
+        word < SUCCEEDED && word as usize != idx
     }
 
     /// Returns the matched pairs `(recruiter, recruited)` as ant ids, in
@@ -165,7 +179,7 @@ impl Pairing {
     /// Returns the number of pairs in the matching `M`.
     #[must_use]
     pub fn matched_count(&self) -> usize {
-        self.pairs.len()
+        self.matched.len()
     }
 }
 
@@ -174,7 +188,7 @@ impl Pairing {
 /// Returns the matching and, for each participant, the nest id its call
 /// returns. The function is deterministic given `rng`'s state.
 #[must_use]
-pub fn pair_ants<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Pairing {
+pub fn pair_ants<R: Rng + Clone>(calls: &[RecruitCall], rng: &mut R) -> Pairing {
     let mut pairing = Pairing::default();
     let mut perm = Vec::new();
     pair_ants_into(calls, rng, &mut pairing, &mut perm);
@@ -187,20 +201,25 @@ pub fn pair_ants<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Pairing
 ///
 /// Draws exactly the same random values in the same order as
 /// [`pair_ants`], so the two are interchangeable mid-stream.
-pub fn pair_ants_into<R: Rng + ?Sized>(
+///
+/// The greedy loop has no data-dependent branch: with recruiters in
+/// random order, whether the next one is still free and whether its
+/// target is would mispredict on almost every step. Both outcomes are
+/// computed as flags and applied as selects. The line-4 draw is made on
+/// a clone of `rng` and committed only when the recruiter is free, so
+/// an ant recruited before its turn consumes **no** draw — the stream
+/// is the one the line-by-line algorithm consumes.
+pub fn pair_ants_into<R: Rng + Clone>(
     calls: &[RecruitCall],
     rng: &mut R,
     pairing: &mut Pairing,
     perm: &mut Vec<u32>,
 ) {
     let m = calls.len();
-    assert!(m < NOT_RECRUITED as usize, "too many recruit participants");
-    pairing.recruited_by.clear();
-    pairing.recruited_by.resize(m, NOT_RECRUITED);
-    pairing.succeeded.clear();
-    pairing.succeeded.resize(m, false);
-    pairing.pairs.clear();
-    pairing.matched.clear();
+    assert!(m < SUCCEEDED as usize, "too many recruit participants");
+    let state = &mut pairing.state;
+    state.clear();
+    state.resize(m, FREE);
 
     // Line 2: process ants in a uniform random permutation P. Passive
     // ants never attempt to recruit (line 3) and their positions in P
@@ -208,54 +227,71 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
     // subset — a uniform permutation of that subset — determines the
     // matching exactly as a full-colony permutation would. Shuffling only
     // the actives is therefore the identical stochastic process, at a
-    // fraction of the cost when most participants wait passively.
+    // fraction of the cost when most participants wait passively. Every
+    // index is stored; only an active one advances the length.
     perm.clear();
-    perm.extend(
-        calls
-            .iter()
-            .enumerate()
-            .filter(|(_, call)| call.active)
-            .map(|(idx, _)| idx as u32),
-    );
+    perm.resize(m, 0);
+    let mut actives = 0;
+    for (idx, call) in calls.iter().enumerate() {
+        perm[actives] = idx as u32;
+        actives += usize::from(call.active);
+    }
+    perm.truncate(actives);
     perm.shuffle(rng);
 
+    // At most one pair per active ant: every step writes its candidate
+    // pair, and only a match advances the length.
+    let matched = &mut pairing.matched;
+    matched.clear();
+    matched.resize(actives, (0, 0));
+    let mut len = 0;
     let bound = u128::from(m as u64);
+    // The stream lives in a local for the loop, so committing a draw
+    // replaces registers rather than storing through `rng`.
+    let mut stream = R::clone(rng);
     for &idx in perm.iter() {
-        let idx = idx as usize;
         // Line 3: an active ant that has already been recruited by an
         // earlier ant in P does not attempt to recruit.
-        if pairing.recruited_by[idx] != NOT_RECRUITED {
-            continue;
-        }
+        let own = state[idx as usize];
+        let free = own == FREE;
         // Line 4: choose a uniformly random participant — possibly idx
         // itself. Multiply-shift sampling: divisionless, with residual
         // bias < 2^-32 (as in the shuffle).
-        let target = ((u128::from(rng.next_u64()) * bound) >> 64) as usize;
+        let mut probe = stream.clone();
+        let target = ((u128::from(probe.next_u64()) * bound) >> 64) as usize;
+        // Commit the draw only for a free recruiter. Indexing the pair
+        // keeps this a data select; written as an `if`, it compiles to
+        // a branch that mispredicts on a large share of the steps.
+        stream = [stream, probe][usize::from(free)].clone();
         // Line 5: the target must have neither recruited nor been
         // recruited.
-        if pairing.succeeded[target] || pairing.recruited_by[target] != NOT_RECRUITED {
-            continue;
-        }
-        // Line 6: M := M ∪ (idx, target).
-        pairing.succeeded[idx] = true;
-        pairing.recruited_by[target] = idx as u32;
-        pairing.pairs.push((calls[idx].ant, calls[target].ant));
-        pairing.matched.push((idx as u32, target as u32));
+        let theirs = state[target];
+        let ok = free & (theirs == FREE);
+        // Line 6: M := M ∪ (idx, target). The recruiter's word is
+        // written first, so a self-pair ends holding its own index.
+        state[idx as usize] = if ok { SUCCEEDED } else { own };
+        state[target] = if ok { idx } else { theirs };
+        matched[len] = (idx, target as u32);
+        len += usize::from(ok);
     }
+    matched.truncate(len);
+    *rng = stream;
+
+    pairing.pairs.clear();
+    pairing
+        .pairs
+        .extend(matched.iter().map(|&(recruiter, recruited)| {
+            (calls[recruiter as usize].ant, calls[recruited as usize].ant)
+        }));
 
     // Lines 7–12: each recruited ant receives its recruiter's nest input;
-    // everyone else receives its own input.
+    // everyone else receives its own input. The recruited ants are
+    // exactly the second members of the matched pairs.
     pairing.assigned.clear();
-    pairing.assigned.extend(
-        pairing
-            .recruited_by
-            .iter()
-            .enumerate()
-            .map(|(idx, &recruiter)| match recruiter {
-                NOT_RECRUITED => calls[idx].nest,
-                recruiter => calls[recruiter as usize].nest,
-            }),
-    );
+    pairing.assigned.extend(calls.iter().map(|call| call.nest));
+    for &(recruiter, recruited) in matched.iter() {
+        pairing.assigned[recruited as usize] = calls[recruiter as usize].nest;
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +306,118 @@ mod tests {
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
+    }
+
+    /// Algorithm 1 line by line, with the two bookkeeping arrays and the
+    /// data-dependent `continue`s the kernel replaced: the oracle the
+    /// branch-free kernel is held to, draw for draw.
+    fn reference_pair_ants(calls: &[RecruitCall], rng: &mut SmallRng) -> Pairing {
+        let m = calls.len();
+        let mut recruited_by = vec![FREE; m];
+        let mut succeeded = vec![false; m];
+        let mut perm: Vec<u32> = (0..m as u32)
+            .filter(|&idx| calls[idx as usize].active)
+            .collect();
+        perm.shuffle(rng);
+        let bound = u128::from(m as u64);
+        let mut matched = Vec::new();
+        for &idx in &perm {
+            let idx = idx as usize;
+            if recruited_by[idx] != FREE {
+                continue;
+            }
+            let target = ((u128::from(rng.next_u64()) * bound) >> 64) as usize;
+            if succeeded[target] || recruited_by[target] != FREE {
+                continue;
+            }
+            succeeded[idx] = true;
+            recruited_by[target] = idx as u32;
+            matched.push((idx as u32, target as u32));
+        }
+        let state = (0..m)
+            .map(|idx| match (recruited_by[idx], succeeded[idx]) {
+                (FREE, false) => FREE,
+                (FREE, true) => SUCCEEDED,
+                (recruiter, _) => recruiter,
+            })
+            .collect();
+        let assigned = (0..m)
+            .map(|idx| match recruited_by[idx] {
+                FREE => calls[idx].nest,
+                recruiter => calls[recruiter as usize].nest,
+            })
+            .collect();
+        let pairs = matched
+            .iter()
+            .map(|&(r, x)| (calls[r as usize].ant, calls[x as usize].ant))
+            .collect();
+        Pairing {
+            state,
+            assigned,
+            pairs,
+            matched,
+        }
+    }
+
+    /// The branch-free kernel reproduces the line-by-line algorithm
+    /// exactly — matching, assigned nests and the RNG end state — fresh
+    /// and into reused buffers. The all-active and high-fraction sets
+    /// recruit many actives before their turn, so a kernel that spent a
+    /// draw on such an ant would desynchronize the stream here.
+    #[test]
+    fn branch_free_kernel_matches_reference_algorithm_1() {
+        let mut pairing = Pairing::default();
+        let mut perm = Vec::new();
+        let mut recruited_actives = 0;
+        let mut check = |calls: &[RecruitCall], seed: u64| {
+            let mut expected_rng = rng(seed);
+            let expected = reference_pair_ants(calls, &mut expected_rng);
+            let mut fresh_rng = rng(seed);
+            let fresh = pair_ants(calls, &mut fresh_rng);
+            let mut reused_rng = rng(seed);
+            pair_ants_into(calls, &mut reused_rng, &mut pairing, &mut perm);
+            let m = calls.len();
+            assert_eq!(fresh, expected, "m = {m}, seed {seed}: pairing diverged");
+            assert_eq!(pairing, expected, "m = {m}, seed {seed}: reuse diverged");
+            assert_eq!(fresh_rng, expected_rng, "m = {m}, seed {seed}: stream");
+            assert_eq!(reused_rng, expected_rng, "m = {m}, seed {seed}: stream");
+            recruited_actives += (0..m)
+                .filter(|&idx| calls[idx].active && expected.was_recruited_by_other(idx))
+                .count();
+        };
+
+        let uniform = |m: usize, active: bool| -> Vec<RecruitCall> {
+            (0..m).map(|i| call(i, active, 1 + i % 3)).collect()
+        };
+        for seed in 0..4 {
+            check(&[], seed);
+            check(&uniform(1, true), seed);
+            check(&uniform(1, false), seed);
+            check(&uniform(2, true), seed);
+            check(&uniform(120, false), seed);
+            check(&uniform(300, true), seed);
+        }
+
+        let mut gen = rng(0x5EED);
+        for case in 0..660u64 {
+            let m = (gen.next_u64() % 301) as usize;
+            // Active fractions 0, 0.1, ..., 1 in turn.
+            let threshold = (case % 11) * (u64::MAX / 10);
+            let calls: Vec<RecruitCall> = (0..m)
+                .map(|i| {
+                    let active = case % 11 == 10 || gen.next_u64() < threshold;
+                    call(i, active, 1 + (gen.next_u64() % 4) as usize)
+                })
+                .collect();
+            check(&calls, case);
+        }
+        // An active ant recruited by another either lost its turn to it
+        // (no draw) or had already failed its own; the all-active sets
+        // make the first kind common.
+        assert!(
+            recruited_actives > 1000,
+            "the call sets must recruit active ants"
+        );
     }
 
     #[test]

@@ -679,8 +679,9 @@ impl Simulation {
     /// With `materialize` set, the report (including the per-ant outcome
     /// vector) is readable as `self.scratch.report` afterwards; without
     /// it, each outcome is handed straight to its agent as it is
-    /// computed and `report.outcomes` stays empty — the convergence loop
-    /// needs no colony-sized outcome buffer. Both modes run the **same**
+    /// computed and `report.outcomes` and `report.recruitment.pairs` stay
+    /// empty — the convergence loop needs no colony-sized outcome buffer
+    /// and copies no pairs. Both modes run the **same**
     /// delivering round pass; materializing only adds the per-slot copy
     /// into the (persistent) report buffer, so instrumented and
     /// convergence runs are one code path and report identical
@@ -701,6 +702,11 @@ impl Simulation {
             self.step_round_batched(materialize, round);
         } else {
             self.step_round_scalar(materialize, round);
+        }
+        if materialize {
+            self.env.export_pairs(&mut self.scratch.report);
+        } else {
+            self.scratch.report.recruitment.pairs.clear();
         }
         self.unfinished_round = None;
         Ok(())
@@ -763,12 +769,11 @@ impl Simulation {
             Some(UniformVariant::Spreader) => run!(SpreaderAnt),
         }
         // The round barrier: fold the per-chunk census/tally deltas in
-        // chunk order, then export the recruitment pairs.
+        // chunk order.
         for ws in worker_scratch.iter() {
             colony.apply_census_delta(&ws.census);
             live.apply_delta(&ws.tally);
         }
-        env.export_pairs(&mut scratch.report);
     }
 
     /// The scalar path: one match-per-ant pass per phase, always serial
@@ -909,7 +914,6 @@ impl Simulation {
                 self.live.apply(&old, &new);
             }
         }
-        self.env.export_pairs(&mut scratch.report);
     }
 
     /// Executes one synchronous round and returns the environment's
