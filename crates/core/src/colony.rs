@@ -1,16 +1,15 @@
-//! Colony construction and the cached-census [`Colony`] container.
+//! Colony construction and the [`Colony`] agent container.
 //!
 //! A *colony* is the ordered collection of agents the executor drives —
 //! one per ant, indexed by [`AntId`](hh_model::AntId). [`Colony`] stores
 //! the agents as one contiguous `Vec<AnyAgent>` (static dispatch, cache
-//! friendly) and caches each agent's harness-observable state — honesty,
-//! [`AgentRole`], committed nest, finality — in struct-of-arrays form
-//! ([`SnapshotColumns`]: four dense
-//! parallel columns), maintaining the aggregate [`RoleCensus`]
-//! incrementally. [`AgentSnapshot`] is the scalar assemble/disassemble
-//! view of one column row. The executor in `hh-sim` refreshes exactly
-//! the agents it stepped each round ([`Colony::refresh`]), so census
-//! queries are O(1) instead of an O(n) rescan with a dispatch per agent.
+//! friendly) and derefs to that slice, mutably too. [`AgentSnapshot`] is
+//! one agent's harness-observable state — honesty, [`AgentRole`],
+//! committed nest, finality — and [`RoleCensus`] the honest agents' role
+//! tally. The executor in `hh-sim` keeps one cached snapshot per ant
+//! and the census current itself, recording each stepped agent's
+//! `(old, new)` snapshot transition into a [`CensusDelta`], so its
+//! census queries are O(1); [`Colony::census`] is the plain scan.
 //!
 //! The free functions build the standard homogeneous colonies (one per
 //! algorithm) with per-ant seeds derived deterministically from a single
@@ -33,7 +32,6 @@ use hh_model::NestId;
 use crate::adaptive::{AdaptiveAnt, AdaptivePolicy};
 use crate::agent::{Agent, AgentRole, BoxedAgent};
 use crate::any::AnyAgent;
-use crate::columns::{ColumnsMut, SnapshotColumns};
 use crate::optimal::OptimalAnt;
 use crate::quality::QualityAnt;
 use crate::simple::{SimpleAnt, UrnOptions};
@@ -41,8 +39,9 @@ use crate::spreader::{SpreadStrategy, SpreaderAnt};
 
 /// Counts of honest agents per [`AgentRole`].
 ///
-/// Maintained incrementally by [`Colony`]; the free-standing
-/// [`RoleCensus::of`] tallies any agent slice from scratch.
+/// [`RoleCensus::of`] tallies any agent slice from scratch; the
+/// `hh-sim` executor maintains one incrementally from
+/// [`CensusDelta`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoleCensus {
     /// Agents still searching.
@@ -85,18 +84,6 @@ impl RoleCensus {
         *slot = slot.checked_add_signed(delta).expect("census underflow");
     }
 
-    fn add(&mut self, snapshot: &AgentSnapshot) {
-        if snapshot.honest {
-            self.bucket(snapshot.role, 1);
-        }
-    }
-
-    fn remove(&mut self, snapshot: &AgentSnapshot) {
-        if snapshot.honest {
-            self.bucket(snapshot.role, -1);
-        }
-    }
-
     /// Folds a signed per-role delta (accumulated off to the side by a
     /// chunked executor pass) into the census.
     ///
@@ -115,7 +102,7 @@ impl RoleCensus {
 
 /// A signed [`RoleCensus`] delta, accumulated per worker during a
 /// chunked executor pass and merged at the barrier with
-/// [`RoleCensus::apply_delta`] / [`Colony::apply_census_delta`].
+/// [`RoleCensus::apply_delta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CensusDelta {
     searching: isize,
@@ -131,15 +118,9 @@ impl CensusDelta {
         *self = CensusDelta::default();
     }
 
-    /// `true` if the delta changes nothing.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == CensusDelta::default()
-    }
-
-    /// Records one agent's snapshot transition, with the same
-    /// role/honesty gating [`Colony::refresh`] applies: only flips that
-    /// change the census are recorded.
+    /// Records one agent's snapshot transition. Only a change of role or
+    /// honesty moves the census; since it counts honest agents only, an
+    /// honesty flip re-buckets the agent like a role change.
     #[inline]
     pub fn record(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
         if new.role == old.role && new.honest == old.honest {
@@ -165,8 +146,9 @@ impl CensusDelta {
     }
 }
 
-/// One agent's harness-observable state, cached by [`Colony`] so census
-/// and convergence queries never re-dispatch into the agent.
+/// One agent's harness-observable state, cached per ant by the `hh-sim`
+/// executor so census and convergence queries never re-dispatch into
+/// the agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentSnapshot {
     /// [`Agent::is_honest`] at the last refresh (constant for every
@@ -205,254 +187,36 @@ impl AgentSnapshot {
     }
 }
 
-/// A colony of agents with incrementally maintained census caches.
+/// A colony of agents: one contiguous `Vec<AnyAgent>`, one per ant.
 ///
-/// Read access goes through `Deref<Target = [AnyAgent]>` (`len`, `iter`,
-/// indexing); mutation goes through the cache-aware methods
-/// ([`replace`](Colony::replace), [`push`](Colony::push)) or, for code
-/// that drives agents by hand, [`iter_mut`](Colony::iter_mut) /
-/// [`agents_mut`](Colony::agents_mut) — which mark the caches stale so
-/// the next census query rescans.
-///
-/// The executor protocol is [`choose`](Colony::choose) /
-/// [`observe`](Colony::observe) followed by [`refresh`](Colony::refresh)
-/// for every agent whose `choose` ran; that keeps the caches exact
-/// without a rescan.
+/// Read and write access goes through `Deref`/`DerefMut` to
+/// `[AnyAgent]` (`len`, `iter`, `iter_mut`, indexing); the colony keeps
+/// no cache that agent mutation could leave stale.
+#[derive(Default)]
 pub struct Colony {
     agents: Vec<AnyAgent>,
-    columns: SnapshotColumns,
-    census: RoleCensus,
-    stale: bool,
 }
 
 impl Colony {
-    /// An empty colony.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            agents: Vec::new(),
-            columns: SnapshotColumns::new(),
-            census: RoleCensus::default(),
-            stale: false,
-        }
-    }
-
-    /// An empty colony with room for `n` agents.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            agents: Vec::with_capacity(n),
-            columns: SnapshotColumns::with_capacity(n),
-            census: RoleCensus::default(),
-            stale: false,
-        }
-    }
-
-    /// Appends an agent, updating the caches.
+    /// Appends an agent.
     pub fn push(&mut self, agent: impl Into<AnyAgent>) {
-        let agent = agent.into();
-        let snapshot = AgentSnapshot::of(&agent);
-        self.census.add(&snapshot);
-        self.columns.push(snapshot);
-        self.agents.push(agent);
+        self.agents.push(agent.into());
     }
 
-    /// Replaces the agent at `index`, updating the caches.
+    /// Replaces the agent at `index`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn replace(&mut self, index: usize, agent: impl Into<AnyAgent>) {
-        let agent = agent.into();
-        let snapshot = AgentSnapshot::of(&agent);
-        self.census.remove(&self.columns.get(index));
-        self.census.add(&snapshot);
-        self.columns.set(index, snapshot);
-        self.agents[index] = agent;
+        self.agents[index] = agent.into();
     }
 
-    /// The agents as a plain slice (also available through `Deref`).
-    #[must_use]
-    pub fn as_slice(&self) -> &[AnyAgent] {
-        &self.agents
-    }
-
-    /// Mutable access to the agents for code that drives them by hand
-    /// (tests, bespoke loops). Marks the caches stale; they are rebuilt
-    /// on the next [`sync`](Colony::sync) or census query.
-    pub fn agents_mut(&mut self) -> &mut [AnyAgent] {
-        self.stale = true;
-        &mut self.agents
-    }
-
-    /// Mutably iterates the agents; same staleness contract as
-    /// [`agents_mut`](Colony::agents_mut).
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, AnyAgent> {
-        self.stale = true;
-        self.agents.iter_mut()
-    }
-
-    /// Rebuilds the caches if external mutation marked them stale.
-    pub fn sync(&mut self) {
-        if !self.stale {
-            return;
-        }
-        self.columns.clear();
-        self.census = RoleCensus::default();
-        for agent in &self.agents {
-            let snapshot = AgentSnapshot::of(agent);
-            self.census.add(&snapshot);
-            self.columns.push(snapshot);
-        }
-        self.stale = false;
-    }
-
-    /// The honest-role census. O(1) when the caches are current; falls
-    /// back to a scan if external mutation left them stale.
+    /// The honest-role census, tallied by a scan
+    /// ([`RoleCensus::of`]).
     #[must_use]
     pub fn census(&self) -> RoleCensus {
-        if self.stale {
-            RoleCensus::of(&self.agents)
-        } else {
-            self.census
-        }
-    }
-
-    /// Agent `index`'s cached snapshot, assembled from the columns. Call
-    /// [`sync`](Colony::sync) first if the colony was mutated through
-    /// [`agents_mut`](Colony::agents_mut).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn snapshot(&self, index: usize) -> AgentSnapshot {
-        debug_assert!(!self.stale, "snapshot read while stale; call sync()");
-        self.columns.get(index)
-    }
-
-    /// Iterates the cached per-agent snapshots in ant order. Same
-    /// staleness contract as [`snapshot`](Colony::snapshot).
-    pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
-        debug_assert!(!self.stale, "snapshots read while stale; call sync()");
-        self.columns.iter()
-    }
-
-    /// The snapshot cache in its native struct-of-arrays layout, for
-    /// column-wise readers (detectors, metrics) and the equivalence
-    /// tests. Same staleness contract as [`snapshot`](Colony::snapshot).
-    #[must_use]
-    pub fn snapshot_columns(&self) -> &SnapshotColumns {
-        debug_assert!(!self.stale, "columns read while stale; call sync()");
-        &self.columns
-    }
-
-    /// Executor hot path: forwards [`Agent::choose`] for ant `index`.
-    /// The caller must [`refresh`](Colony::refresh) the agent before the
-    /// round's census queries (choosing can change agent state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    pub fn choose(&mut self, index: usize, round: u64) -> hh_model::Action {
-        self.agents[index].choose(round)
-    }
-
-    /// Executor hot path: forwards [`Agent::observe`] for ant `index`.
-    /// Same refresh contract as [`choose`](Colony::choose).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    pub fn observe(&mut self, index: usize, round: u64, outcome: &hh_model::Outcome) {
-        self.agents[index].observe(round, outcome);
-    }
-
-    /// Recomputes agent `index`'s snapshot, folds the change into the
-    /// census, and returns `(old, new)` so callers can maintain derived
-    /// tallies of their own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    pub fn refresh(&mut self, index: usize) -> (AgentSnapshot, AgentSnapshot) {
-        let new = self.agents[index].snapshot();
-        let old = self.absorb(index, new);
-        (old, new)
-    }
-
-    /// The executor's fused per-ant round transition: observe (when the
-    /// agent's action ran), choose the next round's action, and refresh
-    /// the snapshot — one agent dispatch, one cache visit. Returns the
-    /// chosen action plus the `(old, new)` snapshots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    pub fn observe_choose(
-        &mut self,
-        index: usize,
-        round: u64,
-        outcome: Option<&hh_model::Outcome>,
-    ) -> (hh_model::Action, (AgentSnapshot, AgentSnapshot)) {
-        let (action, new) = self.agents[index].observe_choose(round, outcome);
-        let old = self.absorb(index, new);
-        (action, (old, new))
-    }
-
-    /// Executor parallel hot path: simultaneous mutable access to the
-    /// agents and their cached snapshot columns, for splitting into
-    /// disjoint ant chunks ([`ColumnsMut::split_at_mut`]).
-    ///
-    /// Unlike [`agents_mut`](Colony::agents_mut) this does **not** mark
-    /// the caches stale: the caller contracts to keep each touched
-    /// agent's column row current itself (write the agent's freshly
-    /// computed snapshot back into its row) and to fold the resulting
-    /// census changes in via
-    /// [`apply_census_delta`](Colony::apply_census_delta) before the next
-    /// census query.
-    pub fn engine_split(&mut self) -> (&mut [AnyAgent], ColumnsMut<'_>) {
-        debug_assert!(!self.stale, "engine_split on a stale colony; call sync()");
-        (&mut self.agents, self.columns.as_band_mut())
-    }
-
-    /// Folds a per-worker [`CensusDelta`] (accumulated against
-    /// [`engine_split`](Colony::engine_split) chunks) into the cached
-    /// census.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a census bucket would underflow.
-    pub fn apply_census_delta(&mut self, delta: &CensusDelta) {
-        self.census.apply_delta(delta);
-    }
-
-    /// Stores agent `index`'s freshly computed snapshot, updating the
-    /// census on role changes; returns the previous snapshot.
-    #[inline]
-    fn absorb(&mut self, index: usize, new: AgentSnapshot) -> AgentSnapshot {
-        let old = self.columns.get(index);
-        if new != old {
-            // Honesty can vary for Custom agents, and the census only
-            // counts honest agents — so a flip on either axis re-buckets.
-            if new.role != old.role || new.honest != old.honest {
-                self.census.remove(&old);
-                self.census.add(&new);
-            }
-            self.columns.set(index, new);
-        }
-        old
-    }
-}
-
-impl Default for Colony {
-    fn default() -> Self {
-        Self::new()
+        RoleCensus::of(&self.agents)
     }
 }
 
@@ -461,6 +225,12 @@ impl std::ops::Deref for Colony {
 
     fn deref(&self) -> &[AnyAgent] {
         &self.agents
+    }
+}
+
+impl std::ops::DerefMut for Colony {
+    fn deref_mut(&mut self) -> &mut [AnyAgent] {
+        &mut self.agents
     }
 }
 
@@ -475,19 +245,7 @@ impl std::fmt::Debug for Colony {
 
 impl From<Vec<AnyAgent>> for Colony {
     fn from(agents: Vec<AnyAgent>) -> Self {
-        let mut columns = SnapshotColumns::with_capacity(agents.len());
-        let mut census = RoleCensus::default();
-        for agent in &agents {
-            let snapshot = AgentSnapshot::of(agent);
-            census.add(&snapshot);
-            columns.push(snapshot);
-        }
-        Self {
-            agents,
-            columns,
-            census,
-            stale: false,
-        }
+        Self { agents }
     }
 }
 
@@ -653,9 +411,8 @@ mod tests {
         }
         let mut agreements = 0;
         let trials = 200;
-        let agents = colony.agents_mut();
         for t in 0..trials {
-            let (head, tail) = agents.split_at_mut(1);
+            let (head, tail) = colony.split_at_mut(1);
             let a = head[0].choose(2 + 2 * t);
             let b = tail[0].choose(2 + 2 * t);
             agreements += u32::from(a == b);
@@ -701,8 +458,7 @@ mod tests {
 
         let mut colony = simple(4, 3);
         assert_eq!(colony.census().searching, 4);
-        colony.observe(
-            0,
+        colony[0].observe(
             1,
             &Outcome::Search {
                 nest: NestId::candidate(1),
@@ -710,35 +466,13 @@ mod tests {
                 count: 1,
             },
         );
-        let (old, new) = colony.refresh(0);
-        assert_eq!(old.role, AgentRole::Searching);
-        assert_eq!(new.role, AgentRole::Active);
-        assert_eq!(new.committed, Some(NestId::candidate(1)));
+        let snapshot = colony[0].snapshot();
+        assert_eq!(snapshot.role, AgentRole::Active);
+        assert_eq!(snapshot.committed, Some(NestId::candidate(1)));
         let census = colony.census();
         assert_eq!(census.searching, 3);
         assert_eq!(census.active, 1);
         assert_eq!(census.total(), 4);
-    }
-
-    #[test]
-    fn external_mutation_marks_stale_and_sync_recovers() {
-        use hh_model::{Outcome, Quality};
-
-        let mut colony = simple(3, 5);
-        // Drive an agent by hand: the caches go stale but census queries
-        // still answer correctly via the fallback scan.
-        colony.agents_mut()[0].observe(
-            1,
-            &Outcome::Search {
-                nest: NestId::candidate(1),
-                quality: Quality::BAD,
-                count: 1,
-            },
-        );
-        assert_eq!(colony.census().passive, 1);
-        colony.sync();
-        assert_eq!(colony.census().passive, 1);
-        assert_eq!(colony.snapshot(0).role, AgentRole::Passive);
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!
 //! Colonies (one agent per ant) are built with the helpers in
 //! [`colony`]; they return a [`Colony`] — a contiguous, statically
-//! dispatched [`AnyAgent`] vector with incrementally cached role/honesty
-//! tallies ([`RoleCensus`]). The formal problem statement and consensus
-//! predicates live in [`problem`]. The synchronous executor that drives
-//! agents against an environment — including crash/delay perturbations —
-//! is in the `hh-sim` crate.
+//! dispatched [`AnyAgent`] vector, nothing more. [`AgentSnapshot`] is
+//! one agent's observable state and [`RoleCensus`] the honest role
+//! tally. The formal problem statement and consensus predicates live in
+//! [`problem`]. The synchronous executor that drives agents against an
+//! environment — including crash/delay perturbations, and the per-ant
+//! snapshot cache its census and detectors read — is in the `hh-sim`
+//! crate.
 //!
 //! ## Quick example
 //!
@@ -43,7 +45,7 @@
 //!     for (ant, outcome) in ants.iter_mut().zip(&report.outcomes) {
 //!         ant.observe(round, outcome);
 //!     }
-//!     if let Some(nest) = problem::honest_consensus(ants.as_slice()) {
+//!     if let Some(nest) = problem::honest_consensus(&ants) {
 //!         if env.quality_of(nest).is_some_and(|q| q.is_good()) {
 //!             consensus = Some((round, nest));
 //!             break;
@@ -71,7 +73,6 @@ mod spreader;
 
 pub mod byzantine;
 pub mod colony;
-pub mod columns;
 pub mod problem;
 
 #[cfg(test)]
@@ -82,7 +83,6 @@ pub use agent::{Agent, AgentRole, BoxedAgent, CyclePhase};
 pub use any::{AnyAgent, Projected, UniformVariant};
 pub use byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
 pub use colony::{AgentSnapshot, CensusDelta, Colony, RoleCensus};
-pub use columns::{ColumnsMut, SnapshotColumns};
 pub use idle::IdlerAnt;
 pub use optimal::OptimalAnt;
 pub use quality::QualityAnt;

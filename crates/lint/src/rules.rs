@@ -23,14 +23,15 @@ pub const ENGINE_PREFIXES: [&str; 3] = ["crates/model/src/", "crates/core/src/",
 pub const CHUNK_PHASE_FILES: [&str; 1] = ["crates/sim/src/executor.rs"];
 
 /// Types whose `impl` blocks are chunk-phase code wherever they live:
-/// the per-chunk round views workers iterate in parallel, the SoA
-/// snapshot-column bands the executor splits across workers, and the
-/// agent-state column and row-band types any batched round store would
-/// use (none exists today: batched rounds step the `AnyAgent` vector;
-/// the names stay listed so a reintroduced store is covered from its
-/// first line). Their impls must draw only from per-ant randomness
-/// (keyed draws are pure functions of `(key, round)`, so chunk splits
-/// cannot reorder them).
+/// the per-chunk round views workers iterate in parallel, plus the
+/// snapshot-column bands and the agent-state column and row-band types
+/// a columnar store would use. None of the latter exists today: batched
+/// rounds step the `AnyAgent` vector and the executor's snapshot cache
+/// is a plain `Vec<AgentSnapshot>` split with `split_at_mut`. The names
+/// stay listed so a reintroduced store is covered from its first line.
+/// Their impls must draw only from per-ant randomness (keyed draws are
+/// pure functions of `(key, round)`, so chunk splits cannot reorder
+/// them).
 pub const CHUNK_PHASE_TYPES: [&str; 10] = [
     "RelocationChunk",
     "OutcomeChunk",

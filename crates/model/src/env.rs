@@ -92,8 +92,8 @@ pub struct Environment {
     noise_rngs: Vec<SmallRng>,
     noise: NoiseModel,
     reveal_quality_on_go: bool,
-    /// Reused across rounds by [`Environment::step_into`] so steady-state
-    /// stepping allocates nothing.
+    /// Reused across rounds by [`Environment::resolve_round`] and the
+    /// chunked round so steady-state stepping allocates nothing.
     scratch_pairing: Pairing,
     scratch_perm: Vec<u32>,
     scratch_counts: Vec<usize>,
@@ -302,57 +302,37 @@ impl Environment {
     ///   visited nor been recruited to (in particular, any non-`search`
     ///   call in round 1).
     pub fn step(&mut self, actions: &[Action]) -> Result<StepReport, ModelError> {
+        self.validate(actions)?;
         let mut report = StepReport::default();
-        self.step_into(actions, &mut report)?;
+        self.resolve_round(actions, &mut report);
+        self.materialize_outcomes(actions, &mut report);
+        self.export_pairs(&mut report);
         Ok(report)
     }
 
-    /// [`step`](Self::step) into a caller-owned report: the report's
-    /// vectors are cleared and refilled, so an executor that passes the
-    /// same report every round allocates nothing at steady state. The
-    /// random streams are identical to [`step`](Self::step)'s.
+    /// The one serial resolve of a round's pre-validated actions:
+    /// relocation, population tally and recruit-call collection (into
+    /// `report.recruitment.calls`), the Algorithm 1 pairing, recruitment
+    /// learning, and the round counter. Leaves `report.outcomes` and
+    /// `report.recruitment.pairs` untouched; compute the outcomes with
+    /// [`outcome_view`](Self::outcome_view) and copy the pairs with
+    /// [`export_pairs`](Self::export_pairs). [`step`](Self::step) is
+    /// this after validation; the `hh-sim` executor's scalar round calls
+    /// it directly, having sandboxed every action per ant already.
     ///
-    /// On error the environment *and* the report are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`step`](Self::step).
-    pub fn step_into(
-        &mut self,
-        actions: &[Action],
-        report: &mut StepReport,
-    ) -> Result<(), ModelError> {
-        self.validate(actions)?;
-        self.step_into_prevalidated(actions, report);
-        Ok(())
-    }
-
-    /// [`step_into`](Self::step_into) minus the validation pass, for
-    /// callers that have already checked every action — the `hh-sim`
-    /// executor validates per ant to sandbox illegal actions, so a second
-    /// full validation here would be pure duplicated work in the hot
-    /// loop.
+    /// Implemented over the same chunk-view primitives the `hh-sim`
+    /// worker pool uses ([`relocation_view`](Self::relocation_view) with
+    /// one full-range chunk), so the serial and chunked round paths are
+    /// one stochastic process by construction. The buffers are reused,
+    /// so a caller that passes the same report every round allocates
+    /// nothing at steady state.
     ///
     /// Every action **must** satisfy [`check_action`](Self::check_action)
     /// and `actions.len()` must equal `n`; debug builds assert this,
     /// release builds may panic on out-of-range indices or silently
     /// mis-resolve the round otherwise.
-    pub fn step_into_prevalidated(&mut self, actions: &[Action], report: &mut StepReport) {
+    pub fn resolve_round(&mut self, actions: &[Action], report: &mut StepReport) {
         debug_assert!(self.validate(actions).is_ok(), "caller must pre-validate");
-        self.resolve_round(actions, report);
-        self.materialize_outcomes(actions, report);
-        self.export_pairs(report);
-    }
-
-    /// Phases 1–3 of a round: relocation + population tally + recruit
-    /// call collection, the pairing, recruitment learning, and the round
-    /// counter. Leaves `report.outcomes`/`pairs` untouched.
-    ///
-    /// Implemented over the same chunk-view primitives the `hh-sim`
-    /// worker pool uses ([`relocation_view`](Self::relocation_view) with
-    /// one full-range chunk), so the serial and chunked round paths are
-    /// one stochastic process by construction.
-    fn resolve_round(&mut self, actions: &[Action], report: &mut StepReport) {
         report.recruitment.calls.clear();
         let mut counts = std::mem::take(&mut self.scratch_counts);
         counts.clear();
@@ -435,7 +415,8 @@ impl Environment {
     }
 
     /// Copies the just-paired round's matched pairs into the report —
-    /// shared tail of every step variant.
+    /// the tail of [`step`](Self::step) and of every materializing
+    /// executor round.
     pub fn export_pairs(&self, report: &mut StepReport) {
         report.recruitment.pairs.clear();
         report
@@ -468,7 +449,7 @@ impl Environment {
         )
     }
 
-    /// Phase 4 for the materializing step variants.
+    /// Phase 4 of [`step`](Self::step): every ant's outcome, in ant order.
     fn materialize_outcomes(&mut self, actions: &[Action], report: &mut StepReport) {
         report.outcomes.clear();
         report.outcomes.reserve(actions.len());

@@ -18,8 +18,8 @@
 //! * **Zero allocation at steady state.** The per-round action buffer,
 //!   the chose/ran bitmasks, and the environment's [`StepReport`] live in
 //!   a persistent [`RoundScratch`]; the environment's own pairing scratch
-//!   is reused the same way ([`Environment::step_into`]). After the first
-//!   round, stepping allocates nothing.
+//!   is reused the same way ([`Environment::resolve_round`]). After the
+//!   first round, stepping allocates nothing.
 //! * **Static dispatch, one agent store.** Agents are
 //!   [`AnyAgent`](hh_core::AnyAgent) variants in one contiguous vector;
 //!   only the `Custom` escape hatch pays a vtable call. A uniform colony
@@ -29,11 +29,15 @@
 //!   [`Simulation::uses_agent_columns`]); mixes dispatch per ant. Either
 //!   way the round body is the same generic function, dispatched once
 //!   per round.
-//! * **Incremental census.** The colony's [`RoleCensus`] and the
-//!   executor's live-honest commitment tally are maintained per stepped
-//!   agent ([`Colony::refresh`]), never by rescanning the colony, so the
-//!   convergence [`Detector`](crate::Detector) reads O(k) state instead
-//!   of touching all n agents every round.
+//! * **One snapshot cache, owned here.** The executor caches every
+//!   agent's [`AgentSnapshot`] in one `Vec` and keeps the honest
+//!   [`RoleCensus`] and the live-honest commitment tally over it. Every
+//!   round path writes the row of each agent it stepped and records the
+//!   `(old, new)` transition into its part's census and tally deltas,
+//!   which the round barrier folds in part order — never a rescan of the
+//!   colony, so the convergence [`Detector`](crate::Detector) reads O(k)
+//!   state instead of touching all n agents every round. The
+//!   [`Colony`] itself is the bare agent vector.
 //! * **Deterministic intra-round parallelism.** Agents are independent
 //!   within a round, so the per-ant phases — validate/relocate/tally and
 //!   the fused outcome/observe/choose/refresh pass — run over disjoint
@@ -53,10 +57,9 @@
 use std::sync::Mutex;
 
 use hh_core::colony::AgentSnapshot;
-use hh_core::columns::ColumnsMut;
 use hh_core::{
-    AdaptiveAnt, AnyAgent, CensusDelta, Colony, OptimalAnt, Projected, QualityAnt, SimpleAnt,
-    SpreaderAnt, UniformVariant,
+    AdaptiveAnt, Agent, AnyAgent, CensusDelta, Colony, OptimalAnt, Projected, QualityAnt,
+    SimpleAnt, SpreaderAnt, UniformVariant,
 };
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
@@ -109,10 +112,10 @@ pub enum EngineKind {
     /// simplest correct rendering of the round semantics, kept as the
     /// reference the SoA engine is distribution-identity-tested against.
     Scalar,
-    /// The struct-of-arrays fast path: fused observe/choose/refresh over
-    /// the colony's flat snapshot columns, batched per-ant RNG draws,
-    /// and optional intra-round chunk parallelism
-    /// ([`Simulation::with_round_threads`]).
+    /// The batched fast path: one fused observe/choose/refresh pass over
+    /// the agent vector and the executor's snapshot cache, monomorphized
+    /// on the agent type for uniform colonies, with optional intra-round
+    /// chunk parallelism ([`Simulation::with_round_threads`]).
     #[default]
     Soa,
 }
@@ -148,10 +151,10 @@ struct RoundScratch {
     report: StepReport,
 }
 
-/// Commitment/finality tallies over the *live honest* colony, maintained
-/// incrementally by the executor and read by the convergence
-/// [`Detector`](crate::Detector) — the census-fed replacement for the old
-/// per-round colony rescan.
+/// Commitment/finality tallies over the *live honest* colony, folded
+/// from the executor's per-part [`TallyDelta`]s at every round barrier
+/// and read by the convergence [`Detector`](crate::Detector) — the
+/// census-fed replacement for a per-round colony rescan.
 ///
 /// Crashed ants leave the tally at their crash round (their state
 /// machines are frozen); dishonest agents never enter it.
@@ -170,58 +173,6 @@ pub(crate) struct LiveTally {
 }
 
 impl LiveTally {
-    fn add(&mut self, snapshot: &AgentSnapshot) {
-        self.total += 1;
-        self.finals += usize::from(snapshot.is_final);
-        match snapshot.committed {
-            None => self.uncommitted += 1,
-            Some(nest) => self.commit(nest, true),
-        }
-    }
-
-    fn remove(&mut self, snapshot: &AgentSnapshot) {
-        self.total -= 1;
-        self.finals -= usize::from(snapshot.is_final);
-        match snapshot.committed {
-            None => self.uncommitted -= 1,
-            Some(nest) => self.commit(nest, false),
-        }
-    }
-
-    /// Folds one agent's snapshot transition into the tally. Honesty may
-    /// legitimately vary for `Custom` agents, so only states that were
-    /// (are) honest leave (enter) the tally.
-    #[inline]
-    fn apply(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
-        if old == new {
-            return;
-        }
-        if old.honest {
-            self.remove(old);
-        }
-        if new.honest {
-            self.add(new);
-        }
-    }
-
-    fn commit(&mut self, nest: NestId, add: bool) {
-        let raw = nest.raw();
-        if raw >= self.commits.len() {
-            self.commits.resize(raw + 1, 0);
-        }
-        if add {
-            self.commits[raw] += 1;
-            if self.commits[raw] == 1 {
-                self.distinct += 1;
-            }
-        } else {
-            self.commits[raw] -= 1;
-            if self.commits[raw] == 0 {
-                self.distinct -= 1;
-            }
-        }
-    }
-
     /// Live honest agents currently tallied.
     #[cfg(test)]
     pub(crate) fn total(&self) -> usize {
@@ -300,9 +251,10 @@ fn signed_add(value: usize, delta: isize) -> usize {
         .expect("live tally underflow")
 }
 
-/// A signed [`LiveTally`] delta, accumulated per worker during the
-/// chunked observe/choose/refresh pass and merged in chunk order at the
-/// round barrier ([`LiveTally::apply_delta`]).
+/// A signed [`LiveTally`] delta, accumulated per part during a round
+/// (the chunked observe/choose/refresh pass, or the scalar round's
+/// refreshes and crash removals) and merged in part order at the round
+/// barrier ([`LiveTally::apply_delta`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TallyDelta {
     total: isize,
@@ -320,9 +272,11 @@ impl TallyDelta {
         self.commits.fill(0);
     }
 
-    /// Mirrors [`LiveTally::apply`] for one agent's snapshot transition.
+    /// Records one agent's snapshot transition. Honesty may
+    /// legitimately vary for `Custom` agents, so only states that were
+    /// (are) honest leave (enter) the tally.
     #[inline]
-    fn apply(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
+    fn record(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
         if old == new {
             return;
         }
@@ -334,6 +288,8 @@ impl TallyDelta {
         }
     }
 
+    /// Moves one honest agent's state into (`sign = 1`) or out of
+    /// (`sign = -1`) the tally.
     fn shift(&mut self, snapshot: &AgentSnapshot, sign: isize) {
         self.total += sign;
         self.finals += isize::from(snapshot.is_final) * sign;
@@ -353,7 +309,9 @@ impl TallyDelta {
 /// Per-worker round state: everything a chunk writes besides its
 /// disjoint slots, merged serially in chunk order at the barriers so
 /// results never depend on the thread count. Buffers persist across
-/// rounds — the steady state allocates nothing.
+/// rounds — the steady state allocates nothing. The census and tally
+/// deltas are zero at the start of every round: the round barrier in
+/// `step_round` clears them as it folds them.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     /// Phase 1: this chunk's population tally (length `k + 1`).
@@ -362,10 +320,30 @@ struct WorkerScratch {
     calls: Vec<RecruitCall>,
     /// Phase 1: illegal actions sandboxed in this chunk.
     illegal: u64,
-    /// Phase 2: this chunk's role-census delta.
+    /// This part's role-census delta (phase 2; part 0 in the scalar
+    /// round).
     census: CensusDelta,
-    /// Phase 2: this chunk's live-tally delta.
+    /// This part's live-tally delta (phase 2; part 0 in the scalar
+    /// round, crash removals included).
     tally: TallyDelta,
+}
+
+impl WorkerScratch {
+    /// Stores an agent's fresh snapshot in its cache row and records the
+    /// `(old, new)` transition into this part's census and tally deltas
+    /// — the one cache write every round path makes.
+    ///
+    /// `inline(always)`: with plain `#[inline]`, rustc 1.95 kept this as
+    /// a call inside the phase 2 loop, which cost about 10 µs per round on
+    /// `optimal-4096` (2-vCPU VM).
+    #[inline(always)]
+    fn refresh(&mut self, row: &mut AgentSnapshot, new: AgentSnapshot) {
+        if *row != new {
+            self.census.record(row, &new);
+            self.tally.record(row, &new);
+            *row = new;
+        }
+    }
 }
 
 /// One synchronous execution: environment + colony + perturbations.
@@ -403,6 +381,14 @@ pub struct Simulation {
     /// Batched path: `scratch.next_actions` holds the upcoming round's
     /// pre-chosen actions.
     prechosen: bool,
+    /// Every agent's observable state as of the last completed round,
+    /// in ant order. Each round path writes the row of every agent it
+    /// stepped ([`WorkerScratch::refresh`]); nothing else mutates the
+    /// agents, so the cache is always current.
+    snapshots: Vec<AgentSnapshot>,
+    /// The honest-role census over `snapshots`.
+    census: RoleCensus,
+    /// The live-honest tally over `snapshots`, minus crashed ants.
     live: LiveTally,
     scratch: RoundScratch,
     /// Intra-round parts (1 = serial). See
@@ -464,8 +450,7 @@ impl Simulation {
         agents: impl Into<Colony>,
         perturbations: Option<Perturbations>,
     ) -> Result<Self, SimError> {
-        let mut colony = agents.into();
-        colony.sync();
+        let colony = agents.into();
         if colony.len() != env.n() {
             return Err(SimError::AgentCountMismatch {
                 agents: colony.len(),
@@ -473,12 +458,14 @@ impl Simulation {
             });
         }
         let n = env.n();
-        let mut live = LiveTally::default();
-        for snapshot in colony.iter_snapshots() {
-            if snapshot.honest {
-                live.add(&snapshot);
-            }
+        let snapshots: Vec<AgentSnapshot> = colony.iter().map(AnyAgent::snapshot).collect();
+        let census = colony.census();
+        let mut honest = TallyDelta::default();
+        for snapshot in snapshots.iter().filter(|snapshot| snapshot.honest) {
+            honest.shift(snapshot, 1);
         }
+        let mut live = LiveTally::default();
+        live.apply_delta(&honest);
         let perturbations = perturbations.unwrap_or_else(|| Perturbations::none(n));
         let unperturbed = perturbations.is_none();
         let uniform = UniformVariant::of(&colony);
@@ -492,6 +479,8 @@ impl Simulation {
             unperturbed,
             engine: EngineKind::default(),
             prechosen: false,
+            snapshots,
+            census,
             live,
             scratch: RoundScratch::default(),
             round_threads: 1,
@@ -644,16 +633,16 @@ impl Simulation {
         &self.colony
     }
 
-    /// The colony with its cached census (read-only view).
+    /// The colony (read-only view).
     #[must_use]
     pub fn colony(&self) -> &Colony {
         &self.colony
     }
 
     /// Every agent's observable state, in ant order — served from the
-    /// colony's snapshot columns, which every round path keeps current.
+    /// executor's snapshot cache, which every round path keeps current.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
-        self.colony.iter_snapshots()
+        self.snapshots.iter().copied()
     }
 
     /// Completed rounds.
@@ -703,6 +692,14 @@ impl Simulation {
         } else {
             self.step_round_scalar(materialize, round);
         }
+        // The round barrier: fold every part's census and tally deltas
+        // in part order, zeroing them for the next round.
+        for ws in &mut self.worker_scratch {
+            self.census.apply_delta(&ws.census);
+            self.live.apply_delta(&ws.tally);
+            ws.census.clear();
+            ws.tally.clear();
+        }
         if materialize {
             self.env.export_pairs(&mut self.scratch.report);
         } else {
@@ -720,8 +717,8 @@ impl Simulation {
     /// the concrete agent type when the colony is uniform, one variant
     /// dispatch per ant otherwise. Both are the one generic round body,
     /// [`run_batched_round`], over the same agent vector, so the phase
-    /// structure cannot drift between them; the snapshot columns, role
-    /// census, and live tally are maintained identically.
+    /// structure cannot drift between them; the snapshot cache and the
+    /// census and tally deltas are maintained identically.
     ///
     /// Legality is still checked at the top of the round the action
     /// executes in (identical sandboxing semantics and counters), and
@@ -733,20 +730,19 @@ impl Simulation {
         let Self {
             env,
             colony,
+            snapshots,
             scratch,
             worker_scratch,
-            live,
             pool,
             chunk_bounds,
             illegal_actions,
             uniform,
             ..
         } = self;
-        let (agents, snapshots) = colony.engine_split();
         macro_rules! run {
             ($agent:ty) => {
                 run_batched_round::<$agent>(
-                    agents,
+                    colony,
                     env,
                     snapshots,
                     scratch,
@@ -767,12 +763,6 @@ impl Simulation {
             Some(UniformVariant::Adaptive) => run!(AdaptiveAnt),
             Some(UniformVariant::Quality) => run!(QualityAnt),
             Some(UniformVariant::Spreader) => run!(SpreaderAnt),
-        }
-        // The round barrier: fold the per-chunk census/tally deltas in
-        // chunk order.
-        for ws in worker_scratch.iter() {
-            colony.apply_census_delta(&ws.census);
-            live.apply_delta(&ws.tally);
         }
     }
 
@@ -811,6 +801,7 @@ impl Simulation {
         // below are vacuous in that case.
         let prechosen = std::mem::replace(&mut self.prechosen, false);
         let scratch = &mut self.scratch;
+        let ws = &mut self.worker_scratch[0];
         scratch.actions.clear();
         scratch.ran.clear();
         scratch.ran.resize(n, false);
@@ -823,9 +814,9 @@ impl Simulation {
                 // First round this ant is gone: freeze it out of the
                 // live tally at its last refreshed state.
                 self.crashed[idx] = true;
-                let snapshot = self.colony.snapshot(idx);
+                let snapshot = &self.snapshots[idx];
                 if snapshot.honest {
-                    self.live.remove(&snapshot);
+                    ws.tally.shift(snapshot, -1);
                 }
             }
             let delayed = !crashed && self.perturbations.delay.is_delayed(ant, round);
@@ -842,7 +833,7 @@ impl Simulation {
             let action = if prechosen {
                 scratch.next_actions[idx]
             } else {
-                self.colony.choose(idx, round)
+                self.colony[idx].choose(round)
             };
             scratch.chose[idx] = true;
             if self.env.check_action(ant, &action).is_ok() {
@@ -857,31 +848,14 @@ impl Simulation {
         }
 
         // Every pushed action was either checked above or is a
-        // location-preserving no-op, legal by construction. Resolve the
-        // round over one full-range chunk.
-        scratch.report.recruitment.calls.clear();
-        {
-            let ws = &mut self.worker_scratch[0];
-            ws.counts.clear();
-            ws.counts.resize(self.env.k() + 1, 0);
-            let mut view = self.env.relocation_view();
-            for (idx, action) in scratch.actions.iter().enumerate() {
-                view.apply(
-                    idx,
-                    *action,
-                    &mut ws.counts,
-                    &mut scratch.report.recruitment.calls,
-                );
-            }
-        }
+        // location-preserving no-op, legal by construction.
         self.env
-            .merge_counts(std::iter::once(self.worker_scratch[0].counts.as_slice()));
-        self.env.pair_round(&scratch.report.recruitment.calls);
+            .resolve_round(&scratch.actions, &mut scratch.report);
 
         // Outcome + observe + refresh, fused per ant. Refresh covers
         // every agent whose `choose` ran — observe or not, choosing
-        // alone can advance a state machine — and folds the deltas into
-        // the live tally.
+        // alone can advance a state machine — and records the
+        // transitions into the part's census and tally deltas.
         scratch.report.outcomes.clear();
         if materialize {
             scratch.report.outcomes.resize(
@@ -903,15 +877,16 @@ impl Simulation {
                 if !scratch.chose[idx] {
                     continue;
                 }
+                let agent = &mut self.colony[idx];
                 if scratch.ran[idx] {
-                    self.colony.observe(idx, round, &outcome);
+                    agent.observe(round, &outcome);
                 }
-                let (old, new) = self.colony.refresh(idx);
+                let new = agent.snapshot();
                 debug_assert!(
-                    old == new || !self.crashed[idx],
+                    new == self.snapshots[idx] || !self.crashed[idx],
                     "crashed agents never choose"
                 );
-                self.live.apply(&old, &new);
+                ws.refresh(&mut self.snapshots[idx], new);
             }
         }
     }
@@ -949,7 +924,7 @@ impl Simulation {
     /// Runs until `rule` detects convergence or `max_rounds` rounds have
     /// executed (counted from the simulation's current round).
     ///
-    /// Detectors read the snapshot columns and the live tally, which
+    /// Detectors read the snapshot cache and the live tally, which
     /// every round path maintains.
     ///
     /// # Errors
@@ -1028,7 +1003,7 @@ impl Simulation {
     /// O(1): maintained incrementally by the engine.
     #[must_use]
     pub fn role_census(&self) -> RoleCensus {
-        self.colony.census()
+        self.census
     }
 
     /// The live-honest tally the convergence detector reads.
@@ -1039,7 +1014,7 @@ impl Simulation {
     /// `true` if ant `idx` is honest and not yet crashed — the detector's
     /// membership predicate, answered from cached state.
     pub(crate) fn is_live_honest(&self, idx: usize) -> bool {
-        !self.crashed[idx] && self.colony.snapshot_columns().honest(idx)
+        !self.crashed[idx] && self.snapshots[idx].honest
     }
 }
 
@@ -1047,7 +1022,8 @@ impl Simulation {
 /// projects onto ([`Projected`]): phase 1 (choose if not pre-chosen,
 /// validate/sandbox, relocate, tally), the serial pairing middle, and
 /// phase 2 (outcome → observe → choose `round + 1`, snapshot refresh).
-/// The caller folds the per-worker census/tally deltas afterwards.
+/// The caller folds the per-worker census/tally deltas at the round
+/// barrier.
 ///
 /// `A` is a concrete agent type for a uniform colony, so the per-ant
 /// loops are monomorphized on it and the per-ant variant dispatch
@@ -1072,7 +1048,7 @@ impl Simulation {
 fn run_batched_round<A: Projected>(
     full_agents: &mut [AnyAgent],
     env: &mut Environment,
-    full_snapshots: ColumnsMut<'_>,
+    full_snapshots: &mut [AgentSnapshot],
     scratch: &mut RoundScratch,
     worker_scratch: &mut [WorkerScratch],
     mut pool: Option<&mut WorkerPool>,
@@ -1224,7 +1200,7 @@ fn run_batched_round<A: Projected>(
         struct OutcomePart<'a> {
             chunk: OutcomeChunk<'a>,
             agents: &'a mut [AnyAgent],
-            snapshots: ColumnsMut<'a>,
+            snapshots: &'a mut [AgentSnapshot],
             next: &'a mut [Action],
             outcomes: Option<&'a mut [Outcome]>,
             scratch: &'a mut WorkerScratch,
@@ -1234,7 +1210,7 @@ fn run_batched_round<A: Projected>(
         let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let (full_chunk, ctx) = env.outcome_view();
-        let mut rest_snapshots = Some(full_snapshots);
+        let mut rest_snapshots = full_snapshots;
         let mut rest_chunk = Some(full_chunk);
         let mut rest_next = scratch.next_actions.as_mut_slice();
         let mut rest_outcomes = materialize.then_some(scratch.report.outcomes.as_mut_slice());
@@ -1252,16 +1228,8 @@ fn run_batched_round<A: Projected>(
                 rest_chunk = Some(tail);
                 head
             };
-            let snapshots = if part + 1 == threads {
-                rest_snapshots.take().expect("columns remainder")
-            } else {
-                let (head, tail) = rest_snapshots
-                    .take()
-                    .expect("columns remainder")
-                    .split_at_mut(len);
-                rest_snapshots = Some(tail);
-                head
-            };
+            let (snapshots, tail) = std::mem::take(&mut rest_snapshots).split_at_mut(len);
+            rest_snapshots = tail;
             let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
             rest_next = tail;
             let outcomes = rest_outcomes.take().map(|rest| {
@@ -1288,16 +1256,15 @@ fn run_batched_round<A: Projected>(
             let OutcomePart {
                 mut chunk,
                 agents,
-                mut snapshots,
+                snapshots,
                 next,
                 mut outcomes,
                 scratch,
                 mut cursor,
             } = part;
-            scratch.census.clear();
-            scratch.tally.clear();
             let start = chunk.start();
-            for (local, (next, slot)) in next.iter_mut().zip(agents).enumerate() {
+            let rows = next.iter_mut().zip(agents).zip(snapshots);
+            for (local, ((next, slot), row)) in rows.enumerate() {
                 let idx = start + local;
                 // Every row drains its outcome, in order: the call
                 // advances the chunk's recruit-call cursor.
@@ -1308,12 +1275,7 @@ fn run_batched_round<A: Projected>(
                 let observed = ran[idx].then_some(&outcome);
                 let (action, new) = A::project(slot).observe_choose(round, observed);
                 *next = action;
-                let old = snapshots.get(local);
-                if new != old {
-                    scratch.census.record(&old, &new);
-                    scratch.tally.apply(&old, &new);
-                    snapshots.set(local, new);
-                }
+                scratch.refresh(row, new);
             }
         });
     }
@@ -1818,7 +1780,7 @@ mod tests {
     fn agent_vector_is_current_after_every_batched_round() {
         // Batched rounds step the colony's own agent vector in place, so
         // `agents()` (a plain `&self` read) agrees with the snapshot
-        // columns the round refreshed — on every round, chunked.
+        // cache the round refreshed — on every round, chunked.
         let n = 96;
         let mut sim = Simulation::new(env(n, 3, 77), colony::simple(n, 77))
             .unwrap()
@@ -1840,6 +1802,149 @@ mod tests {
             .unwrap();
         assert!(outcome.solved.is_some());
         assert_eq!(rounds, outcome.rounds_run);
+    }
+
+    #[test]
+    fn census_and_live_tally_follow_honesty_flips() {
+        // `AgentSnapshot::honest` may change for a `Custom` agent, and
+        // the census and the live tally count honest agents only, so
+        // every round path must re-bucket an agent whose honesty flips.
+        use hh_core::{problem, AgentRole};
+        use hh_model::faults::{CrashPlan, CrashStyle};
+
+        /// A simple ant that is honest before `flip_round` iff
+        /// `honest_first`, and the opposite from then on. The flip
+        /// follows `observe`, not `choose`: the batched path has already
+        /// chosen round `r + 1` when round `r` ends, so a flip in
+        /// `choose` would show in `agents()` one round before the cache,
+        /// which is taken between observe and choose.
+        struct Turncoat {
+            inner: SimpleAnt,
+            flip_round: u64,
+            honest_first: bool,
+            round: u64,
+        }
+        impl Agent for Turncoat {
+            fn choose(&mut self, round: u64) -> Action {
+                self.inner.choose(round)
+            }
+            fn observe(&mut self, round: u64, outcome: &Outcome) {
+                self.round = round;
+                self.inner.observe(round, outcome);
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.inner.committed_nest()
+            }
+            fn is_final(&self) -> bool {
+                self.inner.is_final()
+            }
+            fn is_honest(&self) -> bool {
+                (self.round < self.flip_round) == self.honest_first
+            }
+            fn role(&self) -> AgentRole {
+                self.inner.role()
+            }
+            fn label(&self) -> &'static str {
+                "turncoat"
+            }
+        }
+        /// A read-only view of a live agent, for the reference scan.
+        struct Live<'a>(&'a AnyAgent);
+        impl Agent for Live<'_> {
+            fn choose(&mut self, _round: u64) -> Action {
+                unreachable!("a read-only view never chooses")
+            }
+            fn observe(&mut self, _round: u64, _outcome: &Outcome) {
+                unreachable!("a read-only view never observes")
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.0.committed_nest()
+            }
+            fn is_final(&self) -> bool {
+                self.0.is_final()
+            }
+            fn is_honest(&self) -> bool {
+                self.0.is_honest()
+            }
+            fn label(&self) -> &'static str {
+                self.0.label()
+            }
+        }
+
+        let n = 32;
+        let build = |engine: EngineKind, threads: usize, crash: bool| {
+            let mut agents = colony::simple(n, 44);
+            for (slot, flip_round, honest_first) in [(0, 3, true), (1, 5, false)] {
+                let turncoat = Turncoat {
+                    inner: SimpleAnt::new(n, 440 + slot as u64),
+                    flip_round,
+                    honest_first,
+                    round: 0,
+                };
+                agents.replace(slot, AnyAgent::custom(turncoat));
+            }
+            // Two honest ants crash at round 4; the first turncoat
+            // crashes at round 6, after it turned dishonest.
+            let mut schedule = vec![None; n];
+            schedule[0] = Some(6);
+            schedule[2] = Some(4);
+            schedule[3] = Some(4);
+            let perturbations = crash.then(|| Perturbations {
+                crash: CrashPlan::from_schedule(schedule, CrashStyle::InPlace),
+                delay: DelayPlan::never(),
+            });
+            Simulation::with_perturbations(env(n, 2, 44), agents, perturbations)
+                .unwrap()
+                .with_engine(engine)
+                .with_round_threads(threads)
+        };
+        let runs = [
+            (EngineKind::Scalar, 1, false),
+            (EngineKind::Soa, 1, false),
+            (EngineKind::Soa, 2, false),
+            (EngineKind::Soa, 1, true),
+        ];
+        let mut unperturbed_censuses = Vec::new();
+        for (engine, threads, crash) in runs {
+            let mut sim = build(engine, threads, crash);
+            let mut censuses = Vec::new();
+            let mut agreed = 0;
+            for _ in 0..150 {
+                sim.step().unwrap();
+                let round = sim.round();
+                let context = format!("{engine:?} threads={threads} crash={crash} round {round}");
+                let census = sim.role_census();
+                assert_eq!(census, RoleCensus::of(sim.agents()), "{context}");
+                // Turncoat 0 is honest before round 3, turncoat 1 from
+                // round 5 on; the census keeps crashed ants.
+                let expected_total = if (3..5).contains(&round) {
+                    n - 2
+                } else {
+                    n - 1
+                };
+                assert_eq!(census.total(), expected_total, "{context}");
+                let live: Vec<_> = (0..n)
+                    .filter(|&idx| sim.is_live(AntId::new(idx)))
+                    .map(|idx| Live(&sim.agents()[idx]))
+                    .collect();
+                let tally = sim.live_tally();
+                let expected = problem::honest_consensus(&live);
+                assert_eq!(tally.consensus(), expected, "{context}");
+                assert_eq!(
+                    tally.total(),
+                    live.iter().filter(|agent| agent.is_honest()).count(),
+                    "{context}"
+                );
+                assert_eq!(tally.all_final(), problem::all_honest_final(&live));
+                agreed += usize::from(expected.is_some());
+                censuses.push(census);
+            }
+            assert!(agreed > 0, "{engine:?} threads={threads}: never agreed");
+            if !crash {
+                unperturbed_censuses.push(censuses);
+            }
+        }
+        assert!(unperturbed_censuses.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

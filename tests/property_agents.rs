@@ -151,15 +151,15 @@ proptest! {
         )?;
     }
 
-    /// The colony's SoA snapshot columns never drift from the agents
-    /// they cache: after **every** executed round — under arbitrary
+    /// The executor's snapshot cache never drifts from the agents it
+    /// caches: after **every** executed round — under arbitrary
     /// interleavings of the engine's entry points (materializing,
     /// eliding, and multi-round stepping, which exercise the chunked
-    /// phases in all their modes) — each column row reassembles to
-    /// exactly the [`AgentSnapshot`] recomputed from the live agent, for
-    /// honest, idle, and Byzantine colony mixes alike.
+    /// phases in all their modes) — each cached row equals exactly the
+    /// [`AgentSnapshot`] recomputed from the live agent, for honest,
+    /// idle, and Byzantine colony mixes alike.
     #[test]
-    fn soa_columns_stay_in_sync_with_agent_snapshots(
+    fn snapshot_cache_stays_in_sync_with_agents(
         n in 2usize..48,
         seed in any::<u64>(),
         mix_pick in 0usize..3,
@@ -195,42 +195,27 @@ proptest! {
             }
             // Collect owned data before comparing.
             let round = sim.round();
-            let cached: Vec<_> = {
-                let columns = sim.colony().snapshot_columns();
-                prop_assert_eq!(columns.len(), n);
-                (0..n)
-                    .map(|idx| {
-                        (
-                            columns.get(idx),
-                            columns.role(idx),
-                            columns.committed(idx),
-                            columns.honest(idx),
-                            columns.is_final(idx),
-                        )
-                    })
-                    .collect()
-            };
+            let cached: Vec<AgentSnapshot> = sim.iter_snapshots().collect();
+            prop_assert_eq!(cached.len(), n);
             let live: Vec<_> = sim
                 .agents()
                 .iter()
                 .map(|agent| (AgentSnapshot::of(agent), agent.label().to_string()))
                 .collect();
-            for (idx, ((cached, role, committed, honest, is_final), (live, label))) in
-                cached.into_iter().zip(&live).enumerate()
-            {
+            for (idx, (cached, (live, label))) in cached.into_iter().zip(&live).enumerate() {
                 prop_assert_eq!(
                     &cached, live,
-                    "after round {}: column row {} drifted from its agent ({})",
+                    "after round {}: cached row {} drifted from its agent ({})",
                     round, idx, label
                 );
-                // The single-column reads agree with the assembled row.
-                prop_assert_eq!(role, live.role);
-                prop_assert_eq!(committed, live.committed);
-                prop_assert_eq!(honest, live.honest);
-                prop_assert_eq!(is_final, live.is_final);
+                // The field reads agree with the live agent.
+                prop_assert_eq!(cached.role, live.role);
+                prop_assert_eq!(cached.committed, live.committed);
+                prop_assert_eq!(cached.honest, live.honest);
+                prop_assert_eq!(cached.is_final, live.is_final);
                 // A committed nest is always one the environment says the
-                // ant knows — the commitment column can only name rows of
-                // the ant's candidate set.
+                // ant knows — a cached commitment can only name one of
+                // the ant's candidate nests.
                 if live.honest {
                     if let Some(nest) = live.committed {
                         prop_assert!(

@@ -108,12 +108,12 @@ proptest! {
         prop_assert_eq!(serial.env().locations(), chunked_a.env().locations());
     }
 
-    /// The SoA `engine_split` survives *adversarial* chunk shapes, not
-    /// just the even division `with_round_threads` produces: width-1
+    /// The SoA engine's chunk split survives *adversarial* chunk shapes,
+    /// not just the even division `with_round_threads` produces: width-1
     /// bands, an `n − 1` cut, prime strides, and arbitrary random
     /// boundary vectors (including empty chunks) must all merge their
-    /// column bands and census deltas to exactly the serial execution's
-    /// state, round for round.
+    /// snapshot-cache bands and census deltas to exactly the serial
+    /// execution's state, round for round.
     #[test]
     fn adversarial_chunk_bounds_never_change_round_results(
         n in 4usize..96,
@@ -172,18 +172,17 @@ proptest! {
                 "chunk bounds {:?}: final locations diverged", bounds
             );
             // The census merged from per-band deltas matches the serial
-            // engine's — the SoA columns agree row for row.
+            // engine's — the snapshot caches agree row for row.
             prop_assert_eq!(
                 serial.role_census(), sim.role_census(),
                 "chunk bounds {:?}: role census diverged", bounds
             );
-            for idx in 0..n {
-                prop_assert_eq!(
-                    serial.colony().snapshot(idx),
-                    sim.colony().snapshot(idx),
-                    "chunk bounds {:?}: column row {} diverged", bounds, idx
-                );
-            }
+            let expected: Vec<_> = serial.iter_snapshots().collect();
+            let cached: Vec<_> = sim.iter_snapshots().collect();
+            prop_assert_eq!(
+                expected, cached,
+                "chunk bounds {:?}: snapshot cache diverged", bounds
+            );
         }
     }
 
