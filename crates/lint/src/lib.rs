@@ -27,9 +27,9 @@
 //!    comes from a stream derived via `hh_model::seeding::derive_seed`;
 //!    `thread_rng`/`from_entropy`/`OsRng` never appear, test code
 //!    included.
-//! 5. **Per-ant streams under the pool** (`shared-stream`): chunk-phase
+//! 5. **Per-ant keys under the pool** (`shared-stream`): chunk-phase
 //!    code — everything that runs under the intra-round worker pool —
-//!    may draw only from the per-ant streams
+//!    may draw only from the per-ant keys
 //!    (`StreamKind::AgentEnvironment`, `StreamKind::AgentNoise`). A
 //!    shared-stream draw there would make outcomes depend on ant
 //!    processing order, which is exactly what `round_threads`

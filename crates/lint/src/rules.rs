@@ -50,8 +50,9 @@ pub const CHUNK_PHASE_TYPES: [&str; 10] = [
 /// [`CHUNK_PHASE_TYPES`]): every coin a batched round consumes must
 /// come from the agent's own scalar state machine, never an inline
 /// draw call. (The environment's chunk views — `RelocationChunk`,
-/// `OutcomeChunk` — draw their per-ant streams in place by design and
-/// are deliberately not listed.)
+/// `OutcomeChunk` — make their keyed per-ant draws (search placement,
+/// observation noise; round as the counter) in place by design and are
+/// deliberately not listed.)
 pub const BATCHED_ROUND_TYPES: [&str; 6] = [
     "AgentColumns",
     "AgentColumnsMut",
@@ -329,10 +330,10 @@ fn ambient_env(
 
 /// Rule `shared-stream`: inside chunk-phase code (the whole body of
 /// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`CHUNK_PHASE_TYPES`]
-/// anywhere in the engine), only per-ant streams may be named. A draw
-/// from a shared stream inside code that runs under the worker pool
+/// anywhere in the engine), only the per-ant key kinds may be named. A
+/// draw from a shared stream inside code that runs under the worker pool
 /// would make outcomes depend on ant processing order — exactly the bug
-/// class the per-ant stream split (PR 5) exists to rule out.
+/// class per-ant draws exist to rule out.
 fn shared_stream(
     path: &str,
     lexed: &Lexed,
@@ -367,7 +368,7 @@ fn shared_stream(
                 line,
                 format!(
                     "`StreamKind::{variant}` is a shared stream; chunk-phase code running \
-                     under the worker pool may draw only from the per-ant streams \
+                     under the worker pool may draw only from the per-ant keys \
                      (`StreamKind::AgentEnvironment`, `StreamKind::AgentNoise`)"
                 ),
             ));

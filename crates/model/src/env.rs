@@ -22,18 +22,24 @@
 //! ## Randomness ownership (the intra-round determinism contract)
 //!
 //! Every random draw attributable to a single ant — its search placement
-//! and its observation noise — comes from that ant's own derived streams
-//! ([`StreamKind::AgentEnvironment`] and [`StreamKind::AgentNoise`]), so
-//! a round's outcome is a function of per-ant state only and is
-//! independent of the order (or thread) ants are processed in. The only
-//! draw on the shared environment stream is the recruitment pairing
-//! (Algorithm 1), which is a single colony-level process and stays
-//! serial. The executor in `hh-sim` exploits this to run the per-ant
-//! phases of a round over disjoint ant chunks on a worker pool with
-//! bit-identical results for every thread count; the chunked entry
-//! points are [`Environment::relocation_view`] /
-//! [`Environment::outcome_view`] with the serial
-//! [`Environment::pair_round`] between them.
+//! and its observation noise — is a pure function of `(seed, ant,
+//! round)`: a keyed hash under that ant's
+//! [`DrawKey`](crate::seeding::DrawKey) ([`StreamKind::AgentEnvironment`]
+//! and [`StreamKind::AgentNoise`]) with the round as the counter. Ant `a`
+//! searching in round `r` lands at
+//! `CounterRng::from_key(DrawKey::derive(seed, AgentEnvironment, a).word(r))
+//! .random_range(1..=k)`, and its round-`r` observations draw from the
+//! same construction under `AgentNoise` (derived only when the noise
+//! model is not exact). No per-ant generator state exists, so a round's
+//! outcome does not depend on the order (or thread) ants are processed
+//! in, nor on what an ant drew in earlier rounds. The only stateful
+//! stream is the shared environment stream of the recruitment pairing
+//! (Algorithm 1), a single colony-level process that stays serial. The
+//! executor in `hh-sim` exploits this to run the per-ant phases of a
+//! round over disjoint ant chunks on a worker pool with bit-identical
+//! results for every thread count; the chunked entry points are
+//! [`Environment::relocation_view`] / [`Environment::outcome_view`] with
+//! the serial [`Environment::pair_round`] between them.
 //!
 //! ## Knowledge-set clarification
 //!
@@ -44,7 +50,7 @@
 //! *or learned through recruitment* — and use membership as the legality
 //! test. See DESIGN.md, "Model clarifications".
 
-use rand::rngs::SmallRng;
+use rand::rngs::{CounterRng, SmallRng};
 use rand::{RngExt, SeedableRng};
 
 use crate::actions::{Action, Outcome};
@@ -54,7 +60,7 @@ use crate::ids::{AntId, NestId};
 use crate::nest::{Nest, Quality};
 use crate::noise::NoiseModel;
 use crate::recruitment::{pair_ants_into, Pairing, RecruitCall};
-use crate::seeding::{derive_seed, StreamKind};
+use crate::seeding::{derive_seed, StreamKind, StreamRoot};
 use crate::util::{BitMatrix, RowBandMut};
 
 /// The ground-truth state of one house-hunting execution.
@@ -82,14 +88,12 @@ pub struct Environment {
     known: BitMatrix,
     counts: Vec<usize>,
     round: u64,
-    /// The shared colony-level stream: recruitment pairing only. All
-    /// per-ant draws live in `ant_rngs`/`noise_rngs` (see the module
-    /// docs on randomness ownership).
+    /// The shared colony-level stream: recruitment pairing only. Every
+    /// per-ant draw is keyed from `base_seed` (see the module docs on
+    /// randomness ownership).
     rng: SmallRng,
-    /// Per-ant environment streams (search placement), indexed by ant id.
-    ant_rngs: Vec<SmallRng>,
-    /// Per-ant observation-noise streams, indexed by ant id.
-    noise_rngs: Vec<SmallRng>,
+    /// The trial's base seed, the root of every per-ant draw key.
+    base_seed: u64,
     noise: NoiseModel,
     reveal_quality_on_go: bool,
     /// Reused across rounds by [`Environment::resolve_round`] and the
@@ -140,11 +144,6 @@ impl Environment {
         let mut counts = vec![0; k + 1];
         counts[0] = n;
         let base = config.base_seed();
-        let per_ant = |kind| {
-            (0..n)
-                .map(|ant| SmallRng::seed_from_u64(derive_seed(base, kind, ant as u64)))
-                .collect()
-        };
         Ok(Self {
             nests,
             locations: vec![NestId::HOME; n],
@@ -152,8 +151,7 @@ impl Environment {
             counts,
             round: 0,
             rng: SmallRng::seed_from_u64(derive_seed(base, StreamKind::Environment, 0)),
-            ant_rngs: per_ant(StreamKind::AgentEnvironment),
-            noise_rngs: per_ant(StreamKind::AgentNoise),
+            base_seed: base,
             noise: config.noise_model(),
             reveal_quality_on_go: config.go_reveals_quality(),
             scratch_pairing: Pairing::default(),
@@ -337,12 +335,8 @@ impl Environment {
         let mut counts = std::mem::take(&mut self.scratch_counts);
         counts.clear();
         counts.resize(self.k() + 1, 0);
-        {
-            let mut view = self.relocation_view();
-            for (idx, action) in actions.iter().enumerate() {
-                view.apply(idx, *action, &mut counts, &mut report.recruitment.calls);
-            }
-        }
+        self.relocation_view()
+            .apply(actions, &mut counts, &mut report.recruitment.calls);
         self.merge_counts(std::iter::once(counts.as_slice()));
         self.scratch_counts = counts;
         self.pair_round(&report.recruitment.calls);
@@ -350,7 +344,7 @@ impl Environment {
 
     /// The full-colony per-ant relocation view — phase 1 of a chunked
     /// round. Split it into disjoint chunks ([`RelocationChunk::split_at`])
-    /// and [`apply`](RelocationChunk::apply) every ant's action exactly
+    /// and [`apply`](RelocationChunk::apply) each chunk's actions exactly
     /// once, tallying populations into per-chunk buffers and collecting
     /// recruit calls into per-chunk vectors (concatenated in chunk order
     /// they reproduce ant order). Then fold the tallies back with
@@ -363,9 +357,10 @@ impl Environment {
         RelocationChunk {
             start: 0,
             k: self.nests.len(),
+            base_seed: self.base_seed,
+            round: self.round + 1,
             locations: &mut self.locations,
             known: self.known.rows_mut(),
-            rngs: &mut self.ant_rngs,
         }
     }
 
@@ -432,13 +427,9 @@ impl Environment {
     /// that starts at the ant's rank among the round's recruiters (0 for
     /// the first chunk; later chunks start at the prefix sum of earlier
     /// chunks' recruit-call counts).
-    pub fn outcome_view(&mut self) -> (OutcomeChunk<'_>, OutcomeCtx<'_>) {
+    pub fn outcome_view(&self) -> (OutcomeChunk<'_>, OutcomeCtx<'_>) {
         (
-            OutcomeChunk {
-                start: 0,
-                locations: &self.locations,
-                noise_rngs: &mut self.noise_rngs,
-            },
+            OutcomeChunk::full(&self.locations, self.base_seed, self.round, self.noise),
             OutcomeCtx {
                 nests: &self.nests,
                 counts: &self.counts,
@@ -450,10 +441,10 @@ impl Environment {
     }
 
     /// Phase 4 of [`step`](Self::step): every ant's outcome, in ant order.
-    fn materialize_outcomes(&mut self, actions: &[Action], report: &mut StepReport) {
+    fn materialize_outcomes(&self, actions: &[Action], report: &mut StepReport) {
         report.outcomes.clear();
         report.outcomes.reserve(actions.len());
-        let (mut chunk, ctx) = self.outcome_view();
+        let (chunk, ctx) = self.outcome_view();
         let mut call_cursor = 0usize;
         for (idx, action) in actions.iter().enumerate() {
             let outcome = chunk.outcome(&ctx, idx, *action, &mut call_cursor);
@@ -526,18 +517,21 @@ fn check_nest_argument(
 /// — phase 1 of a chunked round.
 ///
 /// Produced by [`Environment::relocation_view`] (the full-range chunk)
-/// and [`RelocationChunk::split_at`]. All randomness comes from the
-/// chunk's per-ant streams, so processing chunks concurrently (each ant
-/// applied exactly once) yields bit-identical state to the serial
+/// and [`RelocationChunk::split_at`]. Every search placement is a keyed
+/// draw on `(seed, ant, round)`, so processing chunks concurrently (each
+/// ant applied exactly once) yields bit-identical state to the serial
 /// full-range pass regardless of where the boundaries fall.
 #[derive(Debug)]
 pub struct RelocationChunk<'a> {
     /// Global ant id of the chunk's first ant.
     start: usize,
     k: usize,
+    /// The trial's base seed, the root of every placement key.
+    base_seed: u64,
+    /// The round being resolved: the placement keys' counter.
+    round: u64,
     locations: &'a mut [NestId],
     known: RowBandMut<'a>,
-    rngs: &'a mut [SmallRng],
 }
 
 impl<'a> RelocationChunk<'a> {
@@ -570,21 +564,18 @@ impl<'a> RelocationChunk<'a> {
         let local = mid - self.start;
         let (loc_a, loc_b) = self.locations.split_at_mut(local);
         let (known_a, known_b) = self.known.split_at(local);
-        let (rng_a, rng_b) = self.rngs.split_at_mut(local);
         (
             RelocationChunk {
                 start: self.start,
-                k: self.k,
                 locations: loc_a,
                 known: known_a,
-                rngs: rng_a,
+                ..self
             },
             RelocationChunk {
                 start: mid,
-                k: self.k,
                 locations: loc_b,
                 known: known_b,
-                rngs: rng_b,
+                ..self
             },
         )
     }
@@ -625,82 +616,32 @@ impl<'a> RelocationChunk<'a> {
         )
     }
 
-    /// Applies ant `idx`'s action: relocates the ant, updates its
+    /// Applies the chunk's (pre-validated, pre-sandboxed) actions, one
+    /// per chunk ant in ant order: relocates each ant, updates its
     /// knowledge set, tallies the end-of-round population into `counts`
     /// (length `k + 1`, raw-nest-indexed), and appends `recruit` calls to
-    /// `calls`. Search placement draws from the ant's own stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is outside the chunk or the action names an
-    /// out-of-range nest (pre-validate with
-    /// [`check_action`](Self::check_action)).
-    #[inline]
-    pub fn apply(
-        &mut self,
-        idx: usize,
-        action: Action,
-        counts: &mut [usize],
-        calls: &mut Vec<RecruitCall>,
-    ) {
-        let local = idx - self.start;
-        match action {
-            Action::Search => {
-                let nest = NestId::candidate(self.rngs[local].random_range(1..=self.k));
-                self.locations[local] = nest;
-                self.known.insert(local, nest.raw());
-                counts[nest.raw()] += 1;
-            }
-            Action::Go(nest) => {
-                self.locations[local] = nest;
-                counts[nest.raw()] += 1;
-            }
-            Action::Recruit { active, nest } => {
-                self.locations[local] = NestId::HOME;
-                counts[0] += 1;
-                calls.push(RecruitCall::new(AntId::new(idx), active, nest));
-            }
-        }
-    }
-
-    /// Applies a whole chunk's worth of (pre-validated, pre-sandboxed)
-    /// actions at once — functionally identical to calling
-    /// [`apply`](Self::apply) for each ant in chunk order.
-    ///
-    /// The difference is structure, not semantics: search placements are
-    /// drawn first in one tight pass that touches only the per-ant RNG
-    /// and location columns (each destination comes from that ant's own
-    /// [`StreamKind::AgentEnvironment`] stream, so no draw depends on any
-    /// other ant), and relocation/knowledge/tally bookkeeping runs as a
-    /// second pass. The executor's fast path uses this as its phase-1
-    /// inner loop.
-    ///
-    /// [`StreamKind::AgentEnvironment`]: crate::seeding::StreamKind::AgentEnvironment
+    /// `calls`. A search lands where ant `a`'s
+    /// [`StreamKind::AgentEnvironment`] key sends it in this round (see
+    /// the module docs on randomness ownership).
     ///
     /// # Panics
     ///
     /// Panics if `actions` is not exactly one action per chunk ant or an
     /// action names an out-of-range nest (pre-validate with
     /// [`check_action`](Self::check_action)).
-    pub fn apply_all(
+    pub fn apply(
         &mut self,
         actions: &[Action],
         counts: &mut [usize],
         calls: &mut Vec<RecruitCall>,
     ) {
         assert_eq!(actions.len(), self.len(), "one action per chunk ant");
-        // Batched per-ant draws.
-        for (local, action) in actions.iter().enumerate() {
-            if matches!(action, Action::Search) {
-                self.locations[local] =
-                    NestId::candidate(self.rngs[local].random_range(1..=self.k));
-            }
-        }
-        // Relocate, record knowledge, tally populations, collect calls.
+        let placement = StreamRoot::new(self.base_seed, StreamKind::AgentEnvironment);
         for (local, action) in actions.iter().enumerate() {
             match *action {
                 Action::Search => {
-                    let nest = self.locations[local];
+                    let nest = self.search_placement(placement, self.start + local);
+                    self.locations[local] = nest;
                     self.known.insert(local, nest.raw());
                     counts[nest.raw()] += 1;
                 }
@@ -720,6 +661,17 @@ impl<'a> RelocationChunk<'a> {
             }
         }
     }
+
+    /// Ant `idx`'s search destination this round: uniform over the `k`
+    /// candidates (Lemire rejection through the shim's `random_range`),
+    /// drawn from a local generator keyed by the ant's round word under
+    /// the `placement` stream. Kept out of line so the relocation loop
+    /// stays tight.
+    #[inline(never)]
+    fn search_placement(&self, placement: StreamRoot, idx: usize) -> NestId {
+        let mut rng = CounterRng::from_key(placement.key(idx as u64).word(self.round));
+        NestId::candidate(rng.random_range(1..=self.k))
+    }
 }
 
 /// A disjoint, contiguous chunk of the colony's per-ant outcome state —
@@ -727,18 +679,33 @@ impl<'a> RelocationChunk<'a> {
 ///
 /// Produced by [`Environment::outcome_view`] after
 /// [`Environment::pair_round`]; split with
-/// [`OutcomeChunk::split_at`]. Observation noise draws come from the
-/// chunk's per-ant streams, so concurrent chunks reproduce the serial
-/// pass bit-identically.
+/// [`OutcomeChunk::split_at`]. Observation noise is a keyed draw on
+/// `(seed, ant, round)`, so concurrent chunks reproduce the serial pass
+/// bit-identically.
 #[derive(Debug)]
 pub struct OutcomeChunk<'a> {
     /// Global ant id of the chunk's first ant.
     start: usize,
+    /// The per-ant noise keys, or `None` under exact noise (nothing
+    /// draws, so no key is derived).
+    noise_keys: Option<StreamRoot>,
+    /// The round just paired: the noise keys' counter.
+    round: u64,
     locations: &'a [NestId],
-    noise_rngs: &'a mut [SmallRng],
 }
 
 impl<'a> OutcomeChunk<'a> {
+    /// The full-colony chunk for the round just paired under `base_seed`.
+    fn full(locations: &'a [NestId], base_seed: u64, round: u64, noise: NoiseModel) -> Self {
+        Self {
+            start: 0,
+            noise_keys: (!noise.is_exact())
+                .then(|| StreamRoot::new(base_seed, StreamKind::AgentNoise)),
+            round,
+            locations,
+        }
+    }
+
     /// Global ant id of the first ant in the chunk.
     #[must_use]
     pub fn start(&self) -> usize {
@@ -767,17 +734,16 @@ impl<'a> OutcomeChunk<'a> {
     pub fn split_at(self, mid: usize) -> (OutcomeChunk<'a>, OutcomeChunk<'a>) {
         let local = mid - self.start;
         let (loc_a, loc_b) = self.locations.split_at(local);
-        let (rng_a, rng_b) = self.noise_rngs.split_at_mut(local);
         (
             OutcomeChunk {
                 start: self.start,
                 locations: loc_a,
-                noise_rngs: rng_a,
+                ..self
             },
             OutcomeChunk {
                 start: mid,
                 locations: loc_b,
-                noise_rngs: rng_b,
+                ..self
             },
         )
     }
@@ -794,14 +760,14 @@ impl<'a> OutcomeChunk<'a> {
     /// the round was resolved with.
     #[inline]
     pub fn outcome(
-        &mut self,
+        &self,
         ctx: &OutcomeCtx<'_>,
         idx: usize,
         action: Action,
         call_cursor: &mut usize,
     ) -> Outcome {
         let local = idx - self.start;
-        let rng = &mut self.noise_rngs[local];
+        let rng = &mut self.noise_rng(idx);
         match action {
             Action::Search => {
                 let nest = self.locations[local];
@@ -835,6 +801,25 @@ impl<'a> OutcomeChunk<'a> {
             }
         }
     }
+
+    /// Ant `idx`'s observation-noise generator for this round. Under
+    /// exact noise nothing draws from it, so the key is not derived.
+    #[inline]
+    fn noise_rng(&self, idx: usize) -> CounterRng {
+        match self.noise_keys {
+            Some(keys) => self.keyed_noise_rng(keys, idx),
+            None => CounterRng::from_key(0),
+        }
+    }
+
+    /// The noisy case of [`noise_rng`](Self::noise_rng): a generator
+    /// keyed by ant `idx`'s [`StreamKind::AgentNoise`] round word. Kept
+    /// out of line so the exact-noise outcome stays small enough to
+    /// inline into the executor's loop.
+    #[inline(never)]
+    fn keyed_noise_rng(&self, keys: StreamRoot, idx: usize) -> CounterRng {
+        CounterRng::from_key(keys.key(idx as u64).word(self.round))
+    }
 }
 
 /// The shared, read-only round context for the outcome phase: nests,
@@ -853,7 +838,8 @@ pub struct OutcomeCtx<'a> {
 mod tests {
     use super::*;
     use crate::config::QualitySpec;
-    use crate::noise::{CountNoise, NoiseModel};
+    use crate::noise::{CountNoise, NoiseModel, QualityNoise};
+    use crate::seeding::DrawKey;
 
     fn env(n: usize, k: usize, seed: u64) -> Environment {
         let config = ColonyConfig::new(n, QualitySpec::all_good(k)).seed(seed);
@@ -1144,6 +1130,99 @@ mod tests {
         assert!(distinct, "noise should perturb at least one observation");
         // But the true state is unaffected.
         assert_eq!(env.count(NestId::candidate(1)), 1000);
+    }
+
+    /// The documented placement derivation, written out independently of
+    /// the chunk code: ant `ant`'s round-`round` search destination.
+    fn keyed_placement(seed: u64, ant: usize, round: u64, k: usize) -> NestId {
+        let word = DrawKey::derive(seed, StreamKind::AgentEnvironment, ant as u64).word(round);
+        NestId::candidate(CounterRng::from_key(word).random_range(1..=k))
+    }
+
+    #[test]
+    fn search_placement_is_the_documented_keyed_draw() {
+        for seed in [0, 7, 0xDEAD_BEEF] {
+            let (n, k) = (24, 5);
+            let mut env = env(n, k, seed);
+            for round in 1..=6 {
+                env.step(&vec![Action::Search; n]).unwrap();
+                for ant in 0..n {
+                    assert_eq!(
+                        env.location_of(AntId::new(ant)),
+                        keyed_placement(seed, ant, round, k),
+                        "seed {seed}, ant {ant}, round {round}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn search_placement_does_not_depend_on_search_history() {
+        // Ants that searched, went to a known nest and searched again
+        // land in round 3 exactly where ants that searched three times
+        // do: a placement is a function of (seed, ant, round) alone.
+        let (n, k) = (64, 8);
+        for seed in [1, 42, 9_001] {
+            let mut detour = env(n, k, seed);
+            let mut straight = env(n, k, seed);
+            let search = vec![Action::Search; n];
+            detour.step(&search).unwrap();
+            straight.step(&search).unwrap();
+            let stay: Vec<Action> = detour.locations().iter().map(|&l| Action::Go(l)).collect();
+            detour.step(&stay).unwrap();
+            straight.step(&search).unwrap();
+            detour.step(&search).unwrap();
+            straight.step(&search).unwrap();
+            assert_eq!(detour.locations(), straight.locations(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn noise_leaves_placements_and_pairing_unchanged() {
+        let (n, k, seed) = (96, 4, 5);
+        let noisy_model = NoiseModel {
+            count: CountNoise::multiplicative(0.4).unwrap(),
+            quality: QualityNoise::flip(0.2).unwrap(),
+        };
+        let config = |noise| {
+            ColonyConfig::new(n, QualitySpec::good_prefix(k, 2))
+                .seed(seed)
+                .noise(noise)
+                .reveal_quality_on_go()
+        };
+        let mut exact = Environment::new(&config(NoiseModel::exact())).unwrap();
+        let mut noisy = Environment::new(&config(noisy_model)).unwrap();
+        let (mut observations_differ, mut pairs_formed) = (false, false);
+        let mut actions = vec![Action::Search; n];
+        for round in 0..16usize {
+            let a = exact.step(&actions).unwrap();
+            let b = noisy.step(&actions).unwrap();
+            assert_eq!(exact.locations(), noisy.locations(), "round {round}");
+            assert_eq!(a.recruitment.pairs, b.recruitment.pairs, "round {round}");
+            observations_differ |= a.outcomes != b.outcomes;
+            pairs_formed |= !a.recruitment.pairs.is_empty();
+            // Next round: a deterministic mix of every call, legal in
+            // both environments because their states agree.
+            actions = (0..n)
+                .map(|ant| {
+                    let id = AntId::new(ant);
+                    let here = exact.location_of(id);
+                    let known = exact.first_known(id).expect("searched in round 1");
+                    match (ant + round) % 4 {
+                        0 => Action::Search,
+                        1 => Action::Go(if here.is_home() { known } else { here }),
+                        2 => Action::recruit_active(known),
+                        _ => Action::recruit_passive(known),
+                    }
+                })
+                .collect();
+        }
+        assert!(
+            observations_differ,
+            "the noisy model must perturb something"
+        );
+        assert!(pairs_formed, "the run must exercise the pairing");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use rand::{seq::SliceRandom, SeedableRng};
 use crate::actions::Action;
 use crate::env::Environment;
 use crate::ids::{AntId, NestId};
-use crate::seeding::{derive_seed, splitmix64, StreamKind};
+use crate::seeding::{derive_seed, StreamKind, StreamRoot};
 
 /// Where a crashed ant comes to rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -133,9 +133,11 @@ impl CrashPlan {
 /// Independent per-(ant, round) delays: with probability `prob` an ant
 /// misses its intended action for the round and takes the no-op instead.
 ///
-/// Delays are drawn by hashing `(seed, ant, round)`, so the plan is pure
-/// data — no state, and a given `(ant, round)` is delayed or not
-/// irrespective of query order.
+/// Delays are keyed draws: ant `a` is delayed in round `r` iff
+/// `DrawKey::derive(seed, StreamKind::Delay, a).coin(r, prob)`, the same
+/// keyed hash (round as the counter) behind every other per-ant draw. So
+/// the plan is pure data — no state, and a given `(ant, round)` is
+/// delayed or not irrespective of query order.
 ///
 /// # Examples
 ///
@@ -154,7 +156,8 @@ impl CrashPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayPlan {
     prob: f64,
-    seed: u64,
+    /// The plan's [`StreamKind::Delay`] keys, one per ant.
+    keys: StreamRoot,
 }
 
 impl DelayPlan {
@@ -164,14 +167,14 @@ impl DelayPlan {
     pub fn new(prob: f64, seed: u64) -> Self {
         Self {
             prob: prob.clamp(0.0, 1.0),
-            seed: derive_seed(seed, StreamKind::Delay, 0),
+            keys: StreamRoot::new(seed, StreamKind::Delay),
         }
     }
 
     /// A plan that never delays.
     #[must_use]
     pub fn never() -> Self {
-        Self { prob: 0.0, seed: 0 }
+        Self::new(0.0, 0)
     }
 
     /// Returns the per-step delay probability.
@@ -184,18 +187,11 @@ impl DelayPlan {
     #[must_use]
     #[inline]
     pub fn is_delayed(&self, ant: AntId, round: u64) -> bool {
+        // Most plans never delay; skip the key derivation for them.
         if self.prob <= 0.0 {
             return false;
         }
-        if self.prob >= 1.0 {
-            return true;
-        }
-        let h = splitmix64(
-            self.seed ^ splitmix64(ant.index() as u64) ^ splitmix64(round.wrapping_mul(0x9E37)),
-        );
-        // Compare the top 53 bits against the probability.
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        unit < self.prob
+        self.keys.key(ant.index() as u64).coin(round, self.prob)
     }
 }
 
@@ -243,6 +239,7 @@ pub(crate) fn in_place_noop(location: NestId, first_known: Option<NestId>) -> Ac
 mod tests {
     use super::*;
     use crate::config::{ColonyConfig, QualitySpec};
+    use crate::seeding::DrawKey;
 
     #[test]
     fn empty_plan_never_crashes() {
@@ -307,6 +304,23 @@ mod tests {
             (0.27..=0.33).contains(&rate),
             "delay rate {rate} far from 0.3"
         );
+    }
+
+    #[test]
+    fn delay_is_the_documented_keyed_coin() {
+        for seed in [0, 3, 0xFEED] {
+            let plan = DelayPlan::new(0.4, seed);
+            for ant in 0..16usize {
+                let key = DrawKey::derive(seed, StreamKind::Delay, ant as u64);
+                for round in 1..40 {
+                    assert_eq!(
+                        plan.is_delayed(AntId::new(ant), round),
+                        key.coin(round, 0.4),
+                        "seed {seed}, ant {ant}, round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl CountNoise {
     }
 
     /// Applies the noise channel to a true count.
+    #[inline]
     pub fn observe<R: Rng + ?Sized>(&self, true_count: usize, rng: &mut R) -> usize {
         match *self {
             CountNoise::Exact => true_count,
@@ -188,6 +189,7 @@ impl QualityNoise {
     }
 
     /// Applies the noise channel to a true quality.
+    #[inline]
     pub fn observe<R: Rng + ?Sized>(&self, true_quality: Quality, rng: &mut R) -> Quality {
         match *self {
             QualityNoise::Exact => true_quality,

@@ -1,12 +1,12 @@
 //! Deterministic seed derivation for reproducible executions.
 //!
-//! A single trial is driven by many independent random streams: the
-//! environment (search placement, recruitment pairing, observation noise),
-//! each ant's private coin flips, and the perturbation plans (crash
-//! schedules, delay draws). To make a whole execution reproducible from one
-//! `u64` while keeping the streams statistically independent, every stream
-//! seed is derived from the base seed with a SplitMix64 mix, keyed by a
-//! stream label.
+//! A single trial is driven by many independent random draws: the
+//! environment's shared pairing stream, per-ant search placement and
+//! observation noise, each ant's private coin flips, and the perturbation
+//! plans (crash schedules, delay draws). To make a whole execution
+//! reproducible from one `u64` while keeping the draws statistically
+//! independent, every stream seed and per-ant [`DrawKey`] is derived from
+//! the base seed with a SplitMix64 mix, keyed by a stream label.
 //!
 //! SplitMix64 is the standard seeding generator recommended by the xoshiro
 //! authors; its output is equidistributed over `u64`, so distinct
@@ -50,7 +50,8 @@ pub fn splitmix64(state: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StreamKind {
-    /// The environment stream: search placement, recruitment pairing.
+    /// The shared environment stream: the recruitment pairing
+    /// (Algorithm 1), the one colony-level random process.
     Environment,
     /// Observation-noise draws (kept separate from the environment so that
     /// enabling noise does not change where ants search).
@@ -59,20 +60,23 @@ pub enum StreamKind {
     Agent,
     /// Crash-schedule sampling.
     Crash,
-    /// Per-round delay (asynchrony) draws.
+    /// Delay (asynchrony) draws: one key per ant, indexed by ant id,
+    /// with the round as the counter.
     Delay,
     /// Scratch stream for tests and ad-hoc tooling.
     Auxiliary,
-    /// One environment stream per ant, indexed by ant id: search
-    /// placement and any other environment draw attributable to a single
-    /// ant. Keeping these per ant (instead of on one shared environment
-    /// stream) makes a round's outcome independent of the order ants are
-    /// processed in — the determinism contract behind intra-round
-    /// parallelism.
+    /// One environment key per ant, indexed by ant id, with the round as
+    /// the counter: search placement and any other environment draw
+    /// attributable to a single ant. Keying these per ant (instead of
+    /// drawing from one shared environment stream) makes a round's
+    /// outcome independent of the order ants are processed in — the
+    /// determinism contract behind intra-round parallelism.
     AgentEnvironment,
-    /// One observation-noise stream per ant, indexed by ant id. Separate
-    /// from [`StreamKind::AgentEnvironment`] so that enabling noise does
-    /// not change where ants search.
+    /// One observation-noise key per ant, indexed by ant id, with the
+    /// round as the counter (the round's word seeds a local generator,
+    /// since one observation may draw several words). Separate from
+    /// [`StreamKind::AgentEnvironment`] so that enabling noise does not
+    /// change where ants search.
     AgentNoise,
 }
 
@@ -106,11 +110,55 @@ impl StreamKind {
 ///     derive_seed(7, StreamKind::Agent, 3),
 /// );
 /// ```
+#[inline]
 #[must_use]
 pub fn derive_seed(base: u64, kind: StreamKind, index: u64) -> u64 {
-    let a = splitmix64(base);
-    let b = splitmix64(a ^ kind.tag().wrapping_mul(GOLDEN_GAMMA));
-    splitmix64(b ^ index.wrapping_mul(GOLDEN_GAMMA))
+    StreamRoot::new(base, kind).seed(index)
+}
+
+/// The index-independent half of [`derive_seed`] for one `(base, kind)`
+/// pair: `StreamRoot::new(base, kind).seed(i) == derive_seed(base, kind,
+/// i)` and `.key(i) == DrawKey::derive(base, kind, i)` for every `i`.
+///
+/// A loop that derives one seed or key per ant computes the root once
+/// and then pays one SplitMix64 mix per index instead of three.
+///
+/// # Examples
+///
+/// ```
+/// use hh_model::seeding::{derive_seed, DrawKey, StreamKind, StreamRoot};
+///
+/// let root = StreamRoot::new(42, StreamKind::Delay);
+/// assert_eq!(root.seed(5), derive_seed(42, StreamKind::Delay, 5));
+/// assert_eq!(root.key(5), DrawKey::derive(42, StreamKind::Delay, 5));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StreamRoot(u64);
+
+impl StreamRoot {
+    /// The root of stream `kind` under base trial seed `base`.
+    #[inline]
+    #[must_use]
+    pub fn new(base: u64, kind: StreamKind) -> Self {
+        Self(splitmix64(
+            splitmix64(base) ^ kind.tag().wrapping_mul(GOLDEN_GAMMA),
+        ))
+    }
+
+    /// The seed of component `index`: [`derive_seed`]`(base, kind, index)`.
+    #[inline]
+    #[must_use]
+    pub fn seed(self, index: u64) -> u64 {
+        splitmix64(self.0 ^ index.wrapping_mul(GOLDEN_GAMMA))
+    }
+
+    /// The draw key of component `index`:
+    /// [`DrawKey::derive`]`(base, kind, index)`.
+    #[inline]
+    #[must_use]
+    pub fn key(self, index: u64) -> DrawKey {
+        DrawKey::from_seed(self.seed(index))
+    }
 }
 
 /// A per-row key for counter-based draws.
@@ -126,7 +174,9 @@ pub fn derive_seed(base: u64, kind: StreamKind, index: u64) -> u64 {
 ///
 /// Keys are `Copy` values, not streams: cloning an agent clones its key,
 /// and two agents with the same key make identical draws forever. Derive
-/// one key per ant via [`DrawKey::derive`].
+/// one key per ant via [`DrawKey::derive`]. A draw that needs a variable
+/// number of words (a bounded-range sample, a noisy observation) seeds a
+/// local [`rand::rngs::CounterRng`] with the round's [`word`](Self::word).
 ///
 /// # Examples
 ///
@@ -150,16 +200,19 @@ impl DrawKey {
     /// The seed is passed through one extra [`splitmix64`] round so that
     /// callers holding *sequential* raw seeds (tests, ad-hoc tooling)
     /// still get decorrelated keys.
+    #[inline]
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
         Self(splitmix64(seed))
     }
 
     /// Derives the key for stream `(kind, index)` from a base trial seed,
-    /// mirroring [`derive_seed`].
+    /// mirroring [`derive_seed`]. Loops over many indices of one stream
+    /// hoist the index-independent part with [`StreamRoot`].
+    #[inline]
     #[must_use]
     pub fn derive(base: u64, kind: StreamKind, index: u64) -> Self {
-        Self::from_seed(derive_seed(base, kind, index))
+        StreamRoot::new(base, kind).key(index)
     }
 
     /// Returns the raw 64-bit word for draw `counter` under this key.
@@ -329,7 +382,12 @@ mod tests {
     #[test]
     fn derive_distinguishes_key_streams() {
         let mut seen = BTreeSet::new();
-        for kind in [StreamKind::Agent, StreamKind::AgentEnvironment] {
+        for kind in [
+            StreamKind::Agent,
+            StreamKind::AgentEnvironment,
+            StreamKind::AgentNoise,
+            StreamKind::Delay,
+        ] {
             for index in 0..100 {
                 assert!(seen.insert(DrawKey::derive(123, kind, index)));
             }

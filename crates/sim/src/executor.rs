@@ -43,13 +43,14 @@
 //!   the fused outcome/observe/choose/refresh pass — run over disjoint
 //!   colony chunks on a persistent worker pool
 //!   ([`Simulation::with_round_threads`]), spawned once and reused every
-//!   round. Every random draw attributable to an ant comes from that
-//!   ant's own stream (see the `hh_model::env` docs on randomness
-//!   ownership), each worker writes only its own slots, and per-worker
-//!   census/tally/count deltas are merged in chunk order at the barrier
-//!   — so every thread count, including the serial `round_threads = 1`
-//!   default (the same code run inline), produces **bit-identical**
-//!   results. Only the Algorithm 1 pairing stays serial, as the paper's
+//!   round. Every random draw attributable to an ant is a keyed draw
+//!   on `(seed, ant, round)` with no per-ant generator state (see the
+//!   `hh_model::env` docs on randomness ownership), each worker writes
+//!   only its own slots, and per-worker census/tally/count deltas are
+//!   merged in chunk order at the barrier — so every thread count,
+//!   including the serial `round_threads = 1` default (the same code
+//!   run inline), produces **bit-identical** results. Only the
+//!   Algorithm 1 pairing stays serial, as the paper's
 //!   one colony-level process. Perturbed simulations execute their
 //!   rounds serially regardless of the setting (the fault bookkeeping is
 //!   not worth parallelizing), which preserves the contract trivially.
@@ -499,8 +500,8 @@ impl Simulation {
     ///
     /// **Determinism contract:** every thread count produces
     /// bit-identical executions — the serial path is the same chunked
-    /// code run inline, all per-ant randomness lives in per-ant streams,
-    /// and per-worker deltas merge in chunk order. The registry
+    /// code run inline, every per-ant draw is keyed by `(seed, ant,
+    /// round)`, and per-worker deltas merge in chunk order. The registry
     /// conformance suite enforces this across the whole catalog.
     ///
     /// **Perturbed simulations ignore this setting at execution time**:
@@ -779,7 +780,7 @@ impl Simulation {
     ///   (the plans are empty, so every fault check falls through). That
     ///   makes this loop the *distribution-identity oracle* for the SoA
     ///   engine: the per-agent call sequence (`choose(r)` then
-    ///   `observe(r)`), the per-ant RNG streams, the serial pairing fed
+    ///   `observe(r)`), the keyed per-ant draws, the serial pairing fed
     ///   in ant order, and the sandboxing timing are all identical to
     ///   the batched path's, so equal seeds must produce bit-identical
     ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
@@ -867,7 +868,7 @@ impl Simulation {
             );
         }
         {
-            let (mut chunk, ctx) = self.env.outcome_view();
+            let (chunk, ctx) = self.env.outcome_view();
             let mut cursor = 0usize;
             for (idx, &action) in scratch.actions.iter().enumerate() {
                 let outcome = chunk.outcome(&ctx, idx, action, &mut cursor);
@@ -1147,8 +1148,7 @@ fn run_batched_round<A: Projected>(
                 scratch.illegal = 0;
                 let start = chunk.start();
                 // Validate + sandbox first, so the relocation pass below
-                // sees only legal actions and can batch its per-ant RNG
-                // draws over the chunk's flat stream column.
+                // sees only legal actions.
                 for (local, action) in actions.iter_mut().enumerate() {
                     if !prechosen {
                         *action = A::project(&mut agents[local]).choose(round);
@@ -1161,7 +1161,7 @@ fn run_batched_round<A: Projected>(
                         *action = chunk.noop_in_place(idx);
                     }
                 }
-                chunk.apply_all(actions, &mut scratch.counts, &mut scratch.calls);
+                chunk.apply(actions, &mut scratch.counts, &mut scratch.calls);
             },
         );
     }
@@ -1254,7 +1254,7 @@ fn run_batched_round<A: Projected>(
         let ran = scratch.ran.as_slice();
         scatter(pool, threads, &slots, |_, part: OutcomePart<'_>| {
             let OutcomePart {
-                mut chunk,
+                chunk,
                 agents,
                 snapshots,
                 next,
