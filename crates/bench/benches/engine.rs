@@ -180,18 +180,20 @@ fn bench_round_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_columns_vs_scalar(c: &mut Criterion) {
+fn bench_batched_vs_scalar(c: &mut Criterion) {
     // The batched round against the scalar oracle, at the two large
     // scales. Both rows execute the bit-identical stochastic process;
-    // every SoA round of a uniform colony runs the per-algorithm loop
-    // over the agent vector, while the scalar rows take the
-    // match-per-ant oracle. (The group id predates that loop; the ids
-    // are kept so the `BENCH_BASELINE.md` history stays comparable.)
-    let mut group = c.benchmark_group("engine/columns_vs_scalar");
+    // every batched round of a uniform colony runs the per-algorithm
+    // loop over the agent vector, while the scalar rows take the
+    // match-per-ant oracle.
+    let mut group = c.benchmark_group("engine/batched_vs_scalar");
     for n in [4096usize, 16384] {
         group.throughput(Throughput::Elements(n as u64));
         group.sample_size(if n >= 16384 { 500 } else { 2000 });
-        for (label, engine) in [("batched", EngineKind::Soa), ("scalar", EngineKind::Scalar)] {
+        for (label, engine) in [
+            ("batched", EngineKind::Batched),
+            ("scalar", EngineKind::Scalar),
+        ] {
             let scenario = steady_state_scenario(n).engine(engine);
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("n{n}/{label}")),
@@ -226,6 +228,6 @@ criterion_group!(
     bench_detector_overhead,
     bench_quorum_rounds,
     bench_round_threads,
-    bench_columns_vs_scalar
+    bench_batched_vs_scalar
 );
 criterion_main!(benches);

@@ -56,6 +56,7 @@ use rand::{RngExt, SeedableRng};
 use crate::actions::{Action, Outcome};
 use crate::config::ColonyConfig;
 use crate::error::ModelError;
+use crate::faults::CrashStyle;
 use crate::ids::{AntId, NestId};
 use crate::nest::{Nest, Quality};
 use crate::noise::NoiseModel;
@@ -599,18 +600,19 @@ impl<'a> RelocationChunk<'a> {
         })
     }
 
-    /// The location-preserving in-place no-op for ant `idx` — the chunk
-    /// equivalent of [`noop_action`](crate::faults::noop_action) with
-    /// [`CrashStyle::InPlace`](crate::faults::CrashStyle::InPlace), used
-    /// to sandbox illegal actions.
+    /// The location-preserving no-op in `style` for ant `idx` — the
+    /// chunk equivalent of [`noop_action`](crate::faults::noop_action),
+    /// used for crashed and delayed ants and (in place) to sandbox
+    /// illegal actions.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is outside the chunk.
     #[must_use]
-    pub fn noop_in_place(&self, idx: usize) -> Action {
+    pub fn noop(&self, idx: usize, style: CrashStyle) -> Action {
         let local = idx - self.start;
-        crate::faults::in_place_noop(
+        crate::faults::styled_noop(
+            style,
             self.locations[local],
             self.known.first(local).map(NestId::from_raw),
         )

@@ -128,6 +128,13 @@ impl CrashPlan {
     pub fn is_empty(&self) -> bool {
         self.crash_round.iter().all(Option::is_none)
     }
+
+    /// The number of ants the schedule covers (crashing or not) — it
+    /// must equal the colony size of the execution it is applied to.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.crash_round.len()
+    }
 }
 
 /// Independent per-(ant, round) delays: with probability `prob` an ant
@@ -193,6 +200,19 @@ impl DelayPlan {
         }
         self.keys.key(ant.index() as u64).coin(round, self.prob)
     }
+
+    /// Writes [`is_delayed`](Self::is_delayed) for the contiguous ants
+    /// `first_ant..first_ant + delayed.len()` in `round` — one tight
+    /// loop of keyed coins, the executor's per-chunk delay mask.
+    pub fn fill_delayed(&self, first_ant: usize, round: u64, delayed: &mut [bool]) {
+        if self.prob <= 0.0 {
+            delayed.fill(false);
+            return;
+        }
+        for (slot, ant) in delayed.iter_mut().zip(first_ant as u64..) {
+            *slot = self.keys.key(ant).coin(round, self.prob);
+        }
+    }
 }
 
 impl Default for DelayPlan {
@@ -209,22 +229,26 @@ impl Default for DelayPlan {
 /// Panics if `ant` is out of range for the environment.
 #[must_use]
 pub fn noop_action(env: &Environment, ant: AntId, style: CrashStyle) -> Action {
-    let first_known = env.first_known(ant);
-    match style {
-        CrashStyle::InPlace => in_place_noop(env.location_of(ant), first_known),
-        // Walking home first, the ant then takes the stay-at-home no-op.
-        CrashStyle::AtHome => in_place_noop(NestId::HOME, first_known),
-    }
+    styled_noop(style, env.location_of(ant), env.first_known(ant))
 }
 
-/// The in-place location-preserving no-op given an ant's location and
+/// The location-preserving no-op in `style` given an ant's location and
 /// lowest known nest — the **single** definition of the no-op
 /// semantics, shared by [`noop_action`] and the chunked executor
-/// sandbox ([`RelocationChunk::noop_in_place`]), so the serial and
-/// chunked paths cannot drift apart.
+/// ([`RelocationChunk::noop`]), so the serial and chunked paths cannot
+/// drift apart.
 ///
-/// [`RelocationChunk::noop_in_place`]: crate::RelocationChunk::noop_in_place
-pub(crate) fn in_place_noop(location: NestId, first_known: Option<NestId>) -> Action {
+/// [`RelocationChunk::noop`]: crate::RelocationChunk::noop
+pub(crate) fn styled_noop(
+    style: CrashStyle,
+    location: NestId,
+    first_known: Option<NestId>,
+) -> Action {
+    let location = match style {
+        CrashStyle::InPlace => location,
+        // Walking home first, the ant then takes the stay-at-home no-op.
+        CrashStyle::AtHome => NestId::HOME,
+    };
     if !location.is_home() {
         return Action::Go(location);
     }
@@ -324,6 +348,28 @@ mod tests {
     }
 
     #[test]
+    fn fill_delayed_matches_is_delayed() {
+        for prob in [0.0, 0.3, 1.0] {
+            let plan = DelayPlan::new(prob, 11);
+            for round in 1..6 {
+                let mut mask = [true; 9];
+                plan.fill_delayed(5, round, &mut mask);
+                for (local, &delayed) in mask.iter().enumerate() {
+                    assert_eq!(delayed, plan.is_delayed(AntId::new(5 + local), round));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crash_plan_len_counts_every_ant() {
+        assert_eq!(CrashPlan::none(7).len(), 7);
+        let plan = CrashPlan::from_schedule(vec![Some(2), None, None], CrashStyle::InPlace);
+        assert_eq!(plan.len(), 3);
+        assert!(!plan.is_empty());
+    }
+
+    #[test]
     fn delay_plan_clamps_probability() {
         assert_eq!(DelayPlan::new(7.0, 0).probability(), 1.0);
         assert_eq!(DelayPlan::new(-3.0, 0).probability(), 0.0);
@@ -350,6 +396,40 @@ mod tests {
                 nest,
             } => assert!(!nest.is_home()),
             other => panic!("expected passive recruit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chunk_noop_matches_noop_action() {
+        let config = ColonyConfig::new(12, QualitySpec::all_good(3)).seed(4);
+        let mut env = Environment::new(&config).unwrap();
+        // Round 0 (nothing known), after a search round, and after a
+        // round in which some ants went home to recruit.
+        for round in 0..3 {
+            for style in [CrashStyle::InPlace, CrashStyle::AtHome] {
+                let expected: Vec<Action> = (0..12)
+                    .map(|idx| noop_action(&env, AntId::new(idx), style))
+                    .collect();
+                let (head, tail) = env.relocation_view().split_at(5);
+                let got: Vec<Action> = (0..5)
+                    .map(|idx| head.noop(idx, style))
+                    .chain((5..12).map(|idx| tail.noop(idx, style)))
+                    .collect();
+                assert_eq!(got, expected, "round {round}, {style:?}");
+            }
+            let actions: Vec<Action> = match round {
+                0 => vec![Action::Search; 12],
+                _ => (0..12)
+                    .map(|idx| {
+                        let ant = AntId::new(idx);
+                        match env.first_known(ant) {
+                            Some(nest) if idx % 2 == 0 => Action::recruit_passive(nest),
+                            _ => noop_action(&env, ant, CrashStyle::InPlace),
+                        }
+                    })
+                    .collect(),
+            };
+            env.step(&actions).unwrap();
         }
     }
 }

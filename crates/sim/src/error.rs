@@ -19,6 +19,14 @@ pub enum SimError {
         /// Environment colony size `n`.
         n: usize,
     },
+    /// The crash schedule handed to the simulation does not cover the
+    /// environment's ant count.
+    CrashPlanMismatch {
+        /// Number of ants the crash schedule covers.
+        plan: usize,
+        /// Environment colony size `n`.
+        n: usize,
+    },
     /// An earlier round unwound part-way (a panicking agent or pool job
     /// was caught by the caller), so the simulation's state may be half
     /// updated; it refuses to step again.
@@ -35,6 +43,9 @@ impl fmt::Display for SimError {
             SimError::AgentCountMismatch { agents, n } => {
                 write!(f, "got {agents} agents for an environment of {n} ants")
             }
+            SimError::CrashPlanMismatch { plan, n } => {
+                write!(f, "got a crash schedule of {plan} ants for a colony of {n}")
+            }
             SimError::Poisoned { round } => write!(
                 f,
                 "round {round} unwound part-way; the simulation state is inconsistent"
@@ -47,7 +58,9 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Model(err) => Some(err),
-            SimError::AgentCountMismatch { .. } | SimError::Poisoned { .. } => None,
+            SimError::AgentCountMismatch { .. }
+            | SimError::CrashPlanMismatch { .. }
+            | SimError::Poisoned { .. } => None,
         }
     }
 }
@@ -70,6 +83,10 @@ mod tests {
 
         let err = SimError::AgentCountMismatch { agents: 3, n: 5 };
         assert!(err.to_string().contains("3 agents"));
+        assert!(err.source().is_none());
+
+        let err = SimError::CrashPlanMismatch { plan: 3, n: 8 };
+        assert!(err.to_string().contains("3 ants"));
         assert!(err.source().is_none());
 
         let err = SimError::Poisoned { round: 7 };

@@ -51,9 +51,13 @@
 //!   including the serial `round_threads = 1` default (the same code
 //!   run inline), produces **bit-identical** results. Only the
 //!   Algorithm 1 pairing stays serial, as the paper's
-//!   one colony-level process. Perturbed simulations execute their
-//!   rounds serially regardless of the setting (the fault bookkeeping is
-//!   not worth parallelizing), which preserves the contract trivially.
+//!   one colony-level process.
+//! * **Faults are masks.** Crash and delay plans are pure data — a fixed
+//!   per-ant crash round and a keyed per-(ant, round) delay coin — so
+//!   each chunk computes which of its ants are skipped in a round as a
+//!   mask, and the round that pre-chooses round `r + 1` already knows
+//!   which ants act in it. Perturbed simulations therefore run the same
+//!   chunked round body as unperturbed ones, at any thread count.
 
 use std::sync::Mutex;
 
@@ -100,25 +104,26 @@ impl Perturbations {
     }
 }
 
-/// Which round engine drives an unperturbed simulation.
+/// Which round engine drives a simulation.
 ///
-/// Both engines implement the identical round semantics; the registry's
-/// `soa_equivalence` suite pins them bit-identical (equal seeds produce
-/// equal [`RunOutcome`]s and equal round-by-round census tallies) across
-/// the whole scenario catalog.
+/// Both engines implement the identical round semantics, crash and delay
+/// plans included; the `batched_equivalence` suite pins them
+/// bit-identical (equal seeds produce equal [`RunOutcome`]s and equal
+/// round-by-round census tallies) across the whole scenario catalog.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The scalar oracle: one match-per-ant pass per phase, always
-    /// serial. This is the perturbed path run with empty plans — the
-    /// simplest correct rendering of the round semantics, kept as the
-    /// reference the SoA engine is distribution-identity-tested against.
+    /// serial — the simplest correct rendering of the round semantics,
+    /// kept as the reference the batched engine is held bit-identical
+    /// to. No production run takes it.
     Scalar,
-    /// The batched fast path: one fused observe/choose/refresh pass over
+    /// The production engine: one fused observe/choose/refresh pass over
     /// the agent vector and the executor's snapshot cache, monomorphized
-    /// on the agent type for uniform colonies, with optional intra-round
-    /// chunk parallelism ([`Simulation::with_round_threads`]).
+    /// on the agent type for uniform colonies, with crash/delay masks
+    /// per chunk and optional intra-round chunk parallelism
+    /// ([`Simulation::with_round_threads`]).
     #[default]
-    Soa,
+    Batched,
 }
 
 /// Outcome of a bounded run (see [`Simulation::run_to_convergence`]).
@@ -143,8 +148,14 @@ struct RoundScratch {
     /// The batched path's pre-chosen actions for the *next* round (see
     /// `run_batched_round`).
     next_actions: Vec<Action>,
-    /// `chose[a]`: agent `a`'s `choose` ran this round (its state may
-    /// have changed, so its snapshot needs a refresh).
+    /// Perturbed batched rounds: `skip[a]`, ant `a` takes a no-op this
+    /// round (crashed or delayed).
+    skip: Vec<bool>,
+    /// The skip mask of the *next* round, computed alongside
+    /// `next_actions`: an ant skipped next round is not pre-chosen.
+    next_skip: Vec<bool>,
+    /// Scalar round: `chose[a]`, agent `a`'s `choose` ran this round
+    /// (its state may have changed, so its snapshot needs a refresh).
     chose: Vec<bool>,
     /// `ran[a]`: agent `a`'s own action executed, so it observes.
     ran: Vec<bool>,
@@ -321,11 +332,13 @@ struct WorkerScratch {
     calls: Vec<RecruitCall>,
     /// Phase 1: illegal actions sandboxed in this chunk.
     illegal: u64,
+    /// Phase 1: actions replaced by crash/delay no-ops in this chunk.
+    replaced: u64,
     /// This part's role-census delta (phase 2; part 0 in the scalar
     /// round).
     census: CensusDelta,
-    /// This part's live-tally delta (phase 2; part 0 in the scalar
-    /// round, crash removals included).
+    /// This part's live-tally delta (crash removals in phase 1,
+    /// refreshes in phase 2; part 0 in the scalar round).
     tally: TallyDelta,
 }
 
@@ -367,17 +380,14 @@ impl WorkerScratch {
 pub struct Simulation {
     env: Environment,
     colony: Colony,
-    perturbations: Perturbations,
+    /// The fault plans, or `None` when neither perturbs anything.
+    perturbations: Option<Perturbations>,
     replaced_actions: u64,
     illegal_actions: u64,
     /// `crashed[a]`: the executor has already seen ant `a` crashed (and
     /// removed it from the live tally).
     crashed: Vec<bool>,
-    /// `true` when both perturbation plans are empty — enables the
-    /// batched round with no per-ant fault checks.
-    unperturbed: bool,
-    /// Which engine steps unperturbed rounds (perturbed rounds always
-    /// run the scalar bookkeeping path).
+    /// Which engine steps the rounds.
     engine: EngineKind,
     /// Batched path: `scratch.next_actions` holds the upcoming round's
     /// pre-chosen actions.
@@ -399,7 +409,7 @@ pub struct Simulation {
     chunk_bounds: Vec<usize>,
     /// One scratch per part, merged in part order at the barriers.
     worker_scratch: Vec<WorkerScratch>,
-    /// The persistent pool (`round_threads > 1`, unperturbed only).
+    /// The persistent pool (`round_threads > 1`, batched engine only).
     pool: Option<WorkerPool>,
     /// The variant every ant shares, if the colony is uniform. Checked
     /// once at construction: nothing inside a `Simulation` can change an
@@ -445,7 +455,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError::AgentCountMismatch`] if the colony's size
-    /// differs from the environment's.
+    /// differs from the environment's, and
+    /// [`SimError::CrashPlanMismatch`] if the crash schedule covers a
+    /// different number of ants.
     pub fn with_perturbations(
         env: Environment,
         agents: impl Into<Colony>,
@@ -459,6 +471,11 @@ impl Simulation {
             });
         }
         let n = env.n();
+        if let Some(plan) = perturbations.as_ref().map(|p| p.crash.len()) {
+            if plan != n {
+                return Err(SimError::CrashPlanMismatch { plan, n });
+            }
+        }
         let snapshots: Vec<AgentSnapshot> = colony.iter().map(AnyAgent::snapshot).collect();
         let census = colony.census();
         let mut honest = TallyDelta::default();
@@ -467,8 +484,7 @@ impl Simulation {
         }
         let mut live = LiveTally::default();
         live.apply_delta(&honest);
-        let perturbations = perturbations.unwrap_or_else(|| Perturbations::none(n));
-        let unperturbed = perturbations.is_none();
+        let perturbations = perturbations.filter(|p| !p.is_none());
         let uniform = UniformVariant::of(&colony);
         Ok(Self {
             env,
@@ -477,7 +493,6 @@ impl Simulation {
             replaced_actions: 0,
             illegal_actions: 0,
             crashed: vec![false; n],
-            unperturbed,
             engine: EngineKind::default(),
             prechosen: false,
             snapshots,
@@ -501,15 +516,10 @@ impl Simulation {
     /// **Determinism contract:** every thread count produces
     /// bit-identical executions — the serial path is the same chunked
     /// code run inline, every per-ant draw is keyed by `(seed, ant,
-    /// round)`, and per-worker deltas merge in chunk order. The registry
-    /// conformance suite enforces this across the whole catalog.
-    ///
-    /// **Perturbed simulations ignore this setting at execution time**:
-    /// their rounds always run serially (the per-ant crash/delay
-    /// bookkeeping is not worth parallelizing), no pool is spawned, and
-    /// the outcomes are bit-identical to the serial run by construction
-    /// — the setting is remembered but inert. The same applies to
-    /// `Scenario::round_threads` in the registry.
+    /// round)`, crash/delay masks are pure per-ant data, and per-worker
+    /// deltas merge in chunk order. The registry conformance suite
+    /// enforces this across the whole catalog, perturbed entries
+    /// included.
     #[must_use]
     pub fn with_round_threads(mut self, threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_ROUND_THREADS);
@@ -522,7 +532,7 @@ impl Simulation {
         self
     }
 
-    /// Overrides the ant-chunk boundaries used by the SoA engine's
+    /// Overrides the ant-chunk boundaries used by the batched engine's
     /// intra-round phases — a **testing hook** for driving the chunked
     /// code through adversarial splits (width-1 chunks, `n - 1` cuts,
     /// prime strides) that the even `with_round_threads` division never
@@ -562,11 +572,10 @@ impl Simulation {
         self
     }
 
-    /// Selects the engine for unperturbed rounds (default:
-    /// [`EngineKind::Soa`]).
+    /// Selects the round engine (default: [`EngineKind::Batched`]).
     ///
     /// The scalar engine always runs serially, so choosing it releases
-    /// any worker pool; switching back to SoA re-applies the configured
+    /// any worker pool; switching back to batched re-applies the configured
     /// `round_threads`. The builders commute: any order of
     /// `with_round_threads` / `with_engine` / `with_chunk_bounds` calls
     /// ends at the same configuration, thread count included (pinned by
@@ -583,7 +592,7 @@ impl Simulation {
     /// drop the requested thread count. An already-matching pool is kept
     /// (no thread churn when e.g. toggling the engine away and back).
     fn rebuild_pool(&mut self) {
-        let wanted = (self.round_threads > 1 && self.unperturbed && self.engine == EngineKind::Soa)
+        let wanted = (self.round_threads > 1 && self.engine == EngineKind::Batched)
             .then_some(self.round_threads - 1);
         match (wanted, &self.pool) {
             (Some(workers), Some(pool)) if pool.workers() == workers => {}
@@ -592,27 +601,27 @@ impl Simulation {
         }
     }
 
-    /// The engine driving unperturbed rounds.
+    /// The engine driving the rounds.
     #[must_use]
     pub fn engine(&self) -> EngineKind {
         self.engine
     }
 
-    /// `true` if every batched round — [`step`](Self::step),
+    /// `true` if the simulation is a uniform colony on the batched
+    /// engine: every round — [`step`](Self::step),
     /// [`step_in_place`](Self::step_in_place),
     /// [`run_observed`](Self::run_observed) and
-    /// [`run_to_convergence`](Self::run_to_convergence) alike — runs the
-    /// per-algorithm loop: the simulation is unperturbed, the SoA engine
-    /// is selected, and the colony is uniform (every ant the same
-    /// [`UniformVariant`], whatever its per-ant options), so the loop is
-    /// monomorphized on that variant's type and projects each agent slot
-    /// in place. Idler, heterogeneous, Byzantine and `Custom` mixes run
-    /// the same batched round with one variant dispatch per ant;
-    /// perturbed runs and the scalar oracle take the scalar round — all
-    /// bit-identically, by the engine contract.
+    /// [`run_to_convergence`](Self::run_to_convergence) alike, perturbed
+    /// or not — runs the per-algorithm loop, monomorphized on the
+    /// variant every ant shares ([`UniformVariant`], whatever its per-ant
+    /// options) and projecting each agent slot in place. Idler,
+    /// heterogeneous, Byzantine and `Custom` mixes run the same batched
+    /// round with one variant dispatch per ant; the scalar oracle takes
+    /// the scalar round — all bit-identically, by the engine contract.
+    /// (The name predates the deletion of the column store.)
     #[must_use]
     pub fn uses_agent_columns(&self) -> bool {
-        self.uniform.is_some() && self.unperturbed && self.engine == EngineKind::Soa
+        self.uniform.is_some() && self.engine == EngineKind::Batched
     }
 
     /// The configured number of intra-round parts.
@@ -688,10 +697,9 @@ impl Simulation {
         }
         let round = self.env.round() + 1;
         self.unfinished_round = Some(round);
-        if self.unperturbed && self.engine == EngineKind::Soa {
-            self.step_round_batched(materialize, round);
-        } else {
-            self.step_round_scalar(materialize, round);
+        match self.engine {
+            EngineKind::Batched => self.step_round_batched(materialize, round),
+            EngineKind::Scalar => self.step_round_scalar(materialize, round),
         }
         // The round barrier: fold every part's census and tally deltas
         // in part order, zeroing them for the next round.
@@ -710,54 +718,27 @@ impl Simulation {
         Ok(())
     }
 
-    /// The unperturbed batched round: no crash/delay plans to consult
-    /// per ant, and every agent chooses every round, so the `chose` mask
-    /// is a constant `true` and is not materialized.
-    ///
-    /// The agent loop is chosen here, once per round: monomorphized on
-    /// the concrete agent type when the colony is uniform, one variant
-    /// dispatch per ant otherwise. Both are the one generic round body,
-    /// [`run_batched_round`], over the same agent vector, so the phase
-    /// structure cannot drift between them; the snapshot cache and the
-    /// census and tally deltas are maintained identically.
-    ///
-    /// Legality is still checked at the top of the round the action
-    /// executes in (identical sandboxing semantics and counters), and
-    /// the per-ant crash/delay semantics that forbid pre-choosing — a
-    /// skipped ant must not advance its state machine — cannot occur
-    /// here by definition.
+    /// The batched round, perturbed or not. The agent loop is chosen
+    /// here, once per round: monomorphized on the concrete agent type
+    /// when the colony is uniform, one variant dispatch per ant
+    /// otherwise, and on whether fault plans exist, so an unperturbed
+    /// round carries no fault check at all. Every choice is the one
+    /// generic round body, [`run_batched_round`](Self::run_batched_round),
+    /// over the same agent vector, so the phase structure cannot drift
+    /// between them; the snapshot cache and the census and tally deltas
+    /// are maintained identically.
     fn step_round_batched(&mut self, materialize: bool, round: u64) {
         let prechosen = std::mem::replace(&mut self.prechosen, true);
-        let Self {
-            env,
-            colony,
-            snapshots,
-            scratch,
-            worker_scratch,
-            pool,
-            chunk_bounds,
-            illegal_actions,
-            uniform,
-            ..
-        } = self;
         macro_rules! run {
             ($agent:ty) => {
-                run_batched_round::<$agent>(
-                    colony,
-                    env,
-                    snapshots,
-                    scratch,
-                    worker_scratch,
-                    pool.as_mut(),
-                    chunk_bounds,
-                    illegal_actions,
-                    round,
-                    materialize,
-                    prechosen,
-                )
+                if self.perturbations.is_some() {
+                    self.run_batched_round::<$agent, true>(round, materialize, prechosen)
+                } else {
+                    self.run_batched_round::<$agent, false>(round, materialize, prechosen)
+                }
             };
         }
-        match uniform {
+        match self.uniform {
             None => run!(AnyAgent),
             Some(UniformVariant::Simple) => run!(SimpleAnt),
             Some(UniformVariant::Optimal) => run!(OptimalAnt),
@@ -767,40 +748,31 @@ impl Simulation {
         }
     }
 
-    /// The scalar path: one match-per-ant pass per phase, always serial
-    /// (regardless of `round_threads`), built on the same chunk-view
-    /// primitives — one full-range chunk per phase — and the same
-    /// delivering outcome pass as the batched path.
-    ///
-    /// This path plays two roles:
-    ///
-    /// * **Perturbed rounds** always run here — the per-ant crash/delay
-    ///   bookkeeping is not worth parallelizing.
-    /// * **[`EngineKind::Scalar`]** routes unperturbed rounds here too
-    ///   (the plans are empty, so every fault check falls through). That
-    ///   makes this loop the *distribution-identity oracle* for the SoA
-    ///   engine: the per-agent call sequence (`choose(r)` then
-    ///   `observe(r)`), the keyed per-ant draws, the serial pairing fed
-    ///   in ant order, and the sandboxing timing are all identical to
-    ///   the batched path's, so equal seeds must produce bit-identical
-    ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
-    ///   the registry catalog.
+    /// The scalar round, reached only through [`EngineKind::Scalar`]:
+    /// the *distribution-identity oracle* for the batched engine. One
+    /// match-per-ant pass per phase, always serial (regardless of
+    /// `round_threads`), built on the environment's own primitives and
+    /// the same delivering outcome pass as the batched path. The
+    /// per-agent call sequence (`choose(r)` then `observe(r)`, neither
+    /// for a crashed or delayed ant), the keyed per-ant draws, the
+    /// serial pairing fed in ant order, and the sandboxing timing are
+    /// all identical to the batched path's, so equal seeds must produce
+    /// bit-identical runs. `tests/batched_equivalence.rs` enforces
+    /// exactly that across the registry catalog.
     fn step_round_scalar(&mut self, materialize: bool, round: u64) {
         let n = self.env.n();
-        // If the previous round ran on the pre-chosen pipeline (the SoA
-        // engine fuses `choose(round + 1)` into its agent pass), the
-        // agents have *already* made this round's choices. The Agent
-        // contract allows `choose(r)` to be called at most once per
-        // round — a stateful implementation (a boxed `Custom` agent, or
-        // any future draw that advances state) would diverge on a
-        // second call, the mid-run `with_engine(Scalar)` switch bug
-        // pinned by `mid_run_engine_switch_matches_pure_scalar` (the
-        // built-in urn choose became repeat-safe with the keyed-draw
-        // migration, but the contract has not). Consume the buffered
-        // actions instead. Pre-chosen rounds are always
-        // unperturbed (the batched path requires it), so the fault checks
-        // below are vacuous in that case.
+        // If the previous round ran on the batched engine, which fuses
+        // `choose(round + 1)` into its agent pass, every ant that acts
+        // this round has *already* made its choice (ants skipped this
+        // round were left unchosen). The Agent contract allows
+        // `choose(r)` to be called at most once per round — a stateful
+        // implementation (a boxed `Custom` agent, or any future draw
+        // that advances state) would diverge on a second call, the
+        // mid-run `with_engine(Scalar)` switch bug pinned by
+        // `mid_run_engine_switch_matches_pure_scalar`. Consume the
+        // buffered actions of the ants the fault checks below let act.
         let prechosen = std::mem::replace(&mut self.prechosen, false);
+        let faults = self.perturbations.as_ref();
         let scratch = &mut self.scratch;
         let ws = &mut self.worker_scratch[0];
         scratch.actions.clear();
@@ -810,7 +782,7 @@ impl Simulation {
         scratch.chose.resize(n, false);
         for idx in 0..n {
             let ant = AntId::new(idx);
-            let crashed = self.perturbations.crash.is_crashed(ant, round);
+            let crashed = faults.is_some_and(|p| p.crash.is_crashed(ant, round));
             if crashed && !self.crashed[idx] {
                 // First round this ant is gone: freeze it out of the
                 // live tally at its last refreshed state.
@@ -820,13 +792,11 @@ impl Simulation {
                     ws.tally.shift(snapshot, -1);
                 }
             }
-            let delayed = !crashed && self.perturbations.delay.is_delayed(ant, round);
+            let delayed = !crashed && faults.is_some_and(|p| p.delay.is_delayed(ant, round));
             if crashed || delayed {
-                let style = if crashed {
-                    self.perturbations.crash.style()
-                } else {
-                    CrashStyle::InPlace
-                };
+                let style = faults
+                    .filter(|_| crashed)
+                    .map_or(CrashStyle::InPlace, |p| p.crash.style());
                 scratch.actions.push(noop_action(&self.env, ant, style));
                 self.replaced_actions += 1;
                 continue;
@@ -997,7 +967,10 @@ impl Simulation {
     /// Panics if `ant` is out of range.
     #[must_use]
     pub fn is_live(&self, ant: AntId) -> bool {
-        !self.perturbations.crash.is_crashed(ant, self.env.round())
+        assert!(ant.index() < self.env.n(), "{ant:?} is out of range");
+        self.perturbations
+            .as_ref()
+            .is_none_or(|p| !p.crash.is_crashed(ant, self.env.round()))
     }
 
     /// Census of honest-agent roles, used by metrics and detectors.
@@ -1019,137 +992,180 @@ impl Simulation {
     }
 }
 
-/// The batched round body, generic over the agent type every slot
-/// projects onto ([`Projected`]): phase 1 (choose if not pre-chosen,
-/// validate/sandbox, relocate, tally), the serial pairing middle, and
-/// phase 2 (outcome → observe → choose `round + 1`, snapshot refresh).
-/// The caller folds the per-worker census/tally deltas at the round
-/// barrier.
-///
-/// `A` is a concrete agent type for a uniform colony, so the per-ant
-/// loops are monomorphized on it and the per-ant variant dispatch
-/// reduces to one predictable projection; `A = AnyAgent` dispatches per
-/// ant for mixes. Either way the loops step the colony's own agent
-/// vector in place.
-///
-/// The engine is memory-bound at scale — the dominant cost of a round
-/// is streaming the agent vector — so a round makes exactly ONE pass over
-/// the agents: round r's observe is fused with round r+1's choose
-/// (agents are independent, and between rounds nothing else touches
-/// them), and the pre-chosen actions are stashed in `next_actions` for
-/// the next round. Only a round with nothing pre-chosen (the first, or
-/// the first after a scalar round) chooses in phase 1.
-///
-/// Both per-ant phases run over the `bounds` chunks — inline when
-/// serial, on the persistent pool otherwise — with per-worker deltas
-/// merged in chunk order between the phases; only the Algorithm 1
-/// pairing runs serially. See the module docs for why every thread
-/// count is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_batched_round<A: Projected>(
-    full_agents: &mut [AnyAgent],
-    env: &mut Environment,
-    full_snapshots: &mut [AgentSnapshot],
-    scratch: &mut RoundScratch,
-    worker_scratch: &mut [WorkerScratch],
-    mut pool: Option<&mut WorkerPool>,
-    bounds: &[usize],
-    illegal_actions: &mut u64,
-    round: u64,
-    materialize: bool,
-    prechosen: bool,
-) {
-    let n = env.n();
-    let k1 = env.k() + 1;
-    let threads = bounds.len() - 1;
+impl Simulation {
+    /// The batched round body, generic over the agent type every slot
+    /// projects onto ([`Projected`]): phase 1 (choose if not pre-chosen,
+    /// validate/sandbox or skip, relocate, tally), the serial pairing
+    /// middle, and phase 2 (outcome → observe → choose `round + 1`,
+    /// snapshot refresh). The caller folds the per-worker census/tally
+    /// deltas at the round barrier.
+    ///
+    /// `A` is a concrete agent type for a uniform colony, so the per-ant
+    /// loops are monomorphized on it and the per-ant variant dispatch
+    /// reduces to one predictable projection; `A = AnyAgent` dispatches
+    /// per ant for mixes. Either way the loops step the colony's own
+    /// agent vector in place.
+    ///
+    /// The engine is memory-bound at scale — the dominant cost of a
+    /// round is streaming the agent vector — so a round makes exactly ONE
+    /// pass over the agents: round r's observe is fused with round r+1's
+    /// choose (agents are independent, and between rounds nothing else
+    /// touches them), and the pre-chosen actions are stashed in
+    /// `next_actions` for the next round. Only a round with nothing
+    /// pre-chosen (the first, or the first after a scalar round) chooses
+    /// in phase 1.
+    ///
+    /// Under crash/delay plans each chunk also carries a skip mask: a
+    /// skipped ant takes its crash-style no-op in phase 1 (in place, for
+    /// a delay) and neither observes nor chooses. Phase 2 of round r
+    /// computes round r + 1's mask — the crash schedule is fixed and
+    /// delays are keyed coins, so it is known a round ahead — and
+    /// pre-chooses only the ants that act in r + 1: a skipped ant never
+    /// advances its state machine, exactly as in the scalar oracle.
+    ///
+    /// `FAULTS` is `true` iff the simulation has fault plans: it guards
+    /// every mask access and picks the agent transition
+    /// ([`observe_choose`](Projected::observe_choose) or
+    /// [`observe_choose_if`](Projected::observe_choose_if)), so the
+    /// unperturbed instance compiles to the loops without any fault
+    /// check. With runtime checks instead, `optimal-4096` lost about 6%
+    /// of its trials/s (2-vCPU VM).
+    ///
+    /// Both per-ant phases run over the `chunk_bounds` chunks — inline
+    /// when serial, on the persistent pool otherwise — with per-worker
+    /// deltas merged in chunk order between the phases; only the
+    /// Algorithm 1 pairing runs serially. See the module docs for why
+    /// every thread count is bit-identical.
+    fn run_batched_round<A: Projected, const FAULTS: bool>(
+        &mut self,
+        round: u64,
+        materialize: bool,
+        prechosen: bool,
+    ) {
+        let Self {
+            env,
+            colony,
+            perturbations,
+            replaced_actions,
+            illegal_actions,
+            crashed,
+            snapshots,
+            scratch,
+            chunk_bounds: bounds,
+            worker_scratch,
+            pool,
+            ..
+        } = self;
+        let faults = perturbations.as_ref().filter(|_| FAULTS);
+        let n = env.n();
+        let k1 = env.k() + 1;
+        let threads = bounds.len() - 1;
 
-    std::mem::swap(&mut scratch.actions, &mut scratch.next_actions);
-    // Every buffer is written slot-by-slot for every ant (phase 1 fills
-    // `ran`, and `actions` when nothing is pre-chosen; phase 2 fills
-    // `next_actions`), so at steady state they only need their length
-    // established — refilling defaults every round would be redundant
-    // full-colony write passes.
-    for buffer in [&mut scratch.actions, &mut scratch.next_actions] {
-        if buffer.len() != n {
-            buffer.resize(n, Action::Search);
+        std::mem::swap(&mut scratch.actions, &mut scratch.next_actions);
+        std::mem::swap(&mut scratch.skip, &mut scratch.next_skip);
+        // Every buffer is written slot-by-slot for every ant (phase 1
+        // fills `ran`, and `actions` and `skip` when nothing is
+        // pre-chosen; phase 2 fills `next_skip`, and `next_actions` for
+        // every ant that acts next round), so at steady state they only
+        // need their length established — refilling defaults every round
+        // would be redundant full-colony write passes.
+        for buffer in [&mut scratch.actions, &mut scratch.next_actions] {
+            if buffer.len() != n {
+                buffer.resize(n, Action::Search);
+            }
         }
-    }
-    if scratch.ran.len() != n {
-        scratch.ran.resize(n, true);
-    }
-
-    // The agent vector, split once into the round's chunk bands: phase 1
-    // reborrows them to choose, phase 2 consumes them.
-    let mut bands: [&mut [AnyAgent]; MAX_ROUND_THREADS] = Default::default();
-    let mut rest_agents = full_agents;
-    for (part, band) in bands.iter_mut().take(threads).enumerate() {
-        let len = bounds[part + 1] - bounds[part];
-        let (head, tail) = rest_agents.split_at_mut(len);
-        *band = head;
-        rest_agents = tail;
-    }
-
-    // ── Phase 1 (chunked): choose (unless pre-chosen), validate +
-    // sandbox, relocate, tally populations, collect recruit calls.
-    {
-        struct RelocPart<'a> {
-            agents: &'a mut [AnyAgent],
-            chunk: RelocationChunk<'a>,
-            actions: &'a mut [Action],
-            ran: &'a mut [bool],
-            scratch: &'a mut WorkerScratch,
+        if scratch.ran.len() != n {
+            scratch.ran.resize(n, true);
         }
-        let slots: [Mutex<Option<RelocPart<'_>>>; MAX_ROUND_THREADS] =
-            std::array::from_fn(|_| Mutex::new(None));
-        let mut rest_chunk = Some(env.relocation_view());
-        let mut rest_actions = scratch.actions.as_mut_slice();
-        let mut rest_ran = scratch.ran.as_mut_slice();
-        let mut scratch_iter = worker_scratch.iter_mut();
-        let mut band_iter = bands.iter_mut();
-        for (part, slot) in slots.iter().take(threads).enumerate() {
-            let len = bounds[part + 1] - bounds[part];
-            let chunk = if part + 1 == threads {
-                rest_chunk.take().expect("chunk remainder")
-            } else {
-                let (head, tail) = rest_chunk
-                    .take()
-                    .expect("chunk remainder")
-                    .split_at(bounds[part + 1]);
-                rest_chunk = Some(tail);
-                head
-            };
-            let (actions, tail) = std::mem::take(&mut rest_actions).split_at_mut(len);
-            rest_actions = tail;
-            let (ran, tail) = std::mem::take(&mut rest_ran).split_at_mut(len);
-            rest_ran = tail;
-            *slot.lock().expect("slot") = Some(RelocPart {
-                agents: band_iter.next().expect("agent band"),
-                chunk,
-                actions,
-                ran,
-                scratch: scratch_iter.next().expect("worker scratch"),
+        if faults.is_some() {
+            for buffer in [&mut scratch.skip, &mut scratch.next_skip] {
+                if buffer.len() != n {
+                    buffer.resize(n, false);
+                }
+            }
+        }
+
+        // The agent vector, split once into the round's chunk bands: phase 1
+        // reborrows them to choose, phase 2 consumes them.
+        let mut bands: [&mut [AnyAgent]; MAX_ROUND_THREADS] = Default::default();
+        let mut rest_agents: &mut [AnyAgent] = colony;
+        for (part, band) in bands.iter_mut().take(threads).enumerate() {
+            *band = split_band(&mut rest_agents, bounds[part + 1] - bounds[part]);
+        }
+
+        // ── Phase 1 (chunked): skip crashed/delayed ants, choose (unless
+        // pre-chosen), validate + sandbox, relocate, tally populations,
+        // collect recruit calls.
+        {
+            struct RelocPart<'a> {
+                agents: &'a mut [AnyAgent],
+                chunk: RelocationChunk<'a>,
+                actions: &'a mut [Action],
+                ran: &'a mut [bool],
+                scratch: &'a mut WorkerScratch,
+                /// Perturbed rounds only.
+                faults: Option<FaultPart<'a>>,
+            }
+            let slots: [Mutex<Option<RelocPart<'_>>>; MAX_ROUND_THREADS] =
+                std::array::from_fn(|_| Mutex::new(None));
+            let mut rest_chunk = Some(env.relocation_view());
+            let mut rest_actions = scratch.actions.as_mut_slice();
+            let mut rest_ran = scratch.ran.as_mut_slice();
+            let mut rest_faults = faults.map(|plan| FaultPart {
+                plan,
+                skip: scratch.skip.as_mut_slice(),
+                crashed: crashed.as_mut_slice(),
+                snapshots: snapshots.as_slice(),
             });
-        }
-        scatter(
-            pool.as_deref_mut(),
-            threads,
-            &slots,
-            |_, part: RelocPart<'_>| {
+            let mut scratch_iter = worker_scratch.iter_mut();
+            let mut band_iter = bands.iter_mut();
+            for (part, slot) in slots.iter().take(threads).enumerate() {
+                let len = bounds[part + 1] - bounds[part];
+                let chunk = if part + 1 == threads {
+                    rest_chunk.take().expect("chunk remainder")
+                } else {
+                    let (head, tail) = rest_chunk
+                        .take()
+                        .expect("chunk remainder")
+                        .split_at(bounds[part + 1]);
+                    rest_chunk = Some(tail);
+                    head
+                };
+                *slot.lock().expect("slot") = Some(RelocPart {
+                    agents: band_iter.next().expect("agent band"),
+                    chunk,
+                    actions: split_band(&mut rest_actions, len),
+                    ran: split_band(&mut rest_ran, len),
+                    scratch: scratch_iter.next().expect("worker scratch"),
+                    faults: rest_faults.as_mut().map(|rest| rest.split_off(len)),
+                });
+            }
+            scatter(pool.as_mut(), threads, &slots, |_, part: RelocPart<'_>| {
                 let RelocPart {
                     agents,
                     mut chunk,
                     actions,
                     ran,
                     scratch,
+                    mut faults,
                 } = part;
                 scratch.counts.clear();
                 scratch.counts.resize(k1, 0);
                 scratch.calls.clear();
                 scratch.illegal = 0;
+                scratch.replaced = 0;
                 let start = chunk.start();
+                if let Some(faults) = faults.as_mut().filter(|_| !prechosen) {
+                    faults.plan.fill_skip(start, round, faults.skip);
+                }
                 // Validate + sandbox first, so the relocation pass below
                 // sees only legal actions.
                 for (local, action) in actions.iter_mut().enumerate() {
+                    if let Some(faults) = faults.as_mut().filter(|f| FAULTS && f.skip[local]) {
+                        ran[local] = false;
+                        *action = faults.skip_ant(&chunk, local, round, scratch);
+                        continue;
+                    }
                     if !prechosen {
                         *action = A::project(&mut agents[local]).choose(round);
                     }
@@ -1158,127 +1174,226 @@ fn run_batched_round<A: Projected>(
                     ran[local] = legal;
                     if !legal {
                         scratch.illegal += 1;
-                        *action = chunk.noop_in_place(idx);
+                        *action = chunk.noop(idx, CrashStyle::InPlace);
                     }
                 }
                 chunk.apply(actions, &mut scratch.counts, &mut scratch.calls);
-            },
-        );
-    }
-
-    // ── Serial middle: merge the per-chunk tallies and calls (chunk
-    // order reproduces ant order), then run Algorithm 1.
-    for ws in worker_scratch.iter() {
-        *illegal_actions += ws.illegal;
-    }
-    env.merge_counts(worker_scratch.iter().map(|ws| ws.counts.as_slice()));
-    let calls = &mut scratch.report.recruitment.calls;
-    calls.clear();
-    for ws in worker_scratch.iter() {
-        calls.extend_from_slice(&ws.calls);
-    }
-    env.pair_round(calls);
-
-    // ── Phase 2 (chunked): the single agent pass — compute the
-    // outcome, observe round `round`, choose round `round + 1`,
-    // refresh the (cache-hot) snapshot — one `observe_choose` per
-    // ant — and accumulate census/tally deltas per worker. In the
-    // eliding mode each outcome lives only for the instant its agent
-    // consumes it; materializing adds a copy into the report's
-    // persistent buffer.
-    scratch.report.outcomes.clear();
-    if materialize {
-        scratch.report.outcomes.resize(
-            n,
-            Outcome::Go {
-                count: 0,
-                quality: None,
-            },
-        );
-    }
-    {
-        struct OutcomePart<'a> {
-            chunk: OutcomeChunk<'a>,
-            agents: &'a mut [AnyAgent],
-            snapshots: &'a mut [AgentSnapshot],
-            next: &'a mut [Action],
-            outcomes: Option<&'a mut [Outcome]>,
-            scratch: &'a mut WorkerScratch,
-            /// This chunk's first recruiter rank (call cursor start).
-            cursor: usize,
-        }
-        let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
-            std::array::from_fn(|_| Mutex::new(None));
-        let (full_chunk, ctx) = env.outcome_view();
-        let mut rest_snapshots = full_snapshots;
-        let mut rest_chunk = Some(full_chunk);
-        let mut rest_next = scratch.next_actions.as_mut_slice();
-        let mut rest_outcomes = materialize.then_some(scratch.report.outcomes.as_mut_slice());
-        let mut scratch_iter = worker_scratch.iter_mut();
-        let mut cursor = 0usize;
-        for (part, slot) in slots.iter().take(threads).enumerate() {
-            let len = bounds[part + 1] - bounds[part];
-            let chunk = if part + 1 == threads {
-                rest_chunk.take().expect("chunk remainder")
-            } else {
-                let (head, tail) = rest_chunk
-                    .take()
-                    .expect("chunk remainder")
-                    .split_at(bounds[part + 1]);
-                rest_chunk = Some(tail);
-                head
-            };
-            let (snapshots, tail) = std::mem::take(&mut rest_snapshots).split_at_mut(len);
-            rest_snapshots = tail;
-            let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
-            rest_next = tail;
-            let outcomes = rest_outcomes.take().map(|rest| {
-                let (head, tail) = rest.split_at_mut(len);
-                rest_outcomes = Some(tail);
-                head
-            });
-            let ws = scratch_iter.next().expect("worker scratch");
-            let part_cursor = cursor;
-            cursor += ws.calls.len();
-            *slot.lock().expect("slot") = Some(OutcomePart {
-                chunk,
-                agents: std::mem::take(&mut bands[part]),
-                snapshots,
-                next,
-                outcomes,
-                scratch: ws,
-                cursor: part_cursor,
             });
         }
-        let actions = scratch.actions.as_slice();
-        let ran = scratch.ran.as_slice();
-        scatter(pool, threads, &slots, |_, part: OutcomePart<'_>| {
-            let OutcomePart {
-                chunk,
-                agents,
-                snapshots,
-                next,
-                mut outcomes,
-                scratch,
-                mut cursor,
-            } = part;
-            let start = chunk.start();
-            let rows = next.iter_mut().zip(agents).zip(snapshots);
-            for (local, ((next, slot), row)) in rows.enumerate() {
-                let idx = start + local;
-                // Every row drains its outcome, in order: the call
-                // advances the chunk's recruit-call cursor.
-                let outcome = chunk.outcome(&ctx, idx, actions[idx], &mut cursor);
-                if let Some(out) = outcomes.as_deref_mut() {
-                    out[local] = outcome;
-                }
-                let observed = ran[idx].then_some(&outcome);
-                let (action, new) = A::project(slot).observe_choose(round, observed);
-                *next = action;
-                scratch.refresh(row, new);
+
+        // ── Serial middle: merge the per-chunk counters, tallies and
+        // calls (chunk order reproduces ant order), then run Algorithm 1.
+        for ws in worker_scratch.iter() {
+            *illegal_actions += ws.illegal;
+            *replaced_actions += ws.replaced;
+        }
+        env.merge_counts(worker_scratch.iter().map(|ws| ws.counts.as_slice()));
+        let calls = &mut scratch.report.recruitment.calls;
+        calls.clear();
+        for ws in worker_scratch.iter() {
+            calls.extend_from_slice(&ws.calls);
+        }
+        env.pair_round(calls);
+
+        // ── Phase 2 (chunked): the single agent pass — compute the
+        // outcome, observe round `round`, choose round `round + 1` (for
+        // the ants that act in it), refresh the (cache-hot) snapshot —
+        // one `observe_choose` per ant — and accumulate census/tally
+        // deltas per worker. In the eliding mode each outcome lives only
+        // for the instant its agent consumes it; materializing adds a
+        // copy into the report's persistent buffer.
+        scratch.report.outcomes.clear();
+        if materialize {
+            scratch.report.outcomes.resize(
+                n,
+                Outcome::Go {
+                    count: 0,
+                    quality: None,
+                },
+            );
+        }
+        {
+            struct OutcomePart<'a> {
+                chunk: OutcomeChunk<'a>,
+                agents: &'a mut [AnyAgent],
+                snapshots: &'a mut [AgentSnapshot],
+                next: &'a mut [Action],
+                /// Perturbed rounds only: the next round's skip mask.
+                next_skip: Option<&'a mut [bool]>,
+                outcomes: Option<&'a mut [Outcome]>,
+                scratch: &'a mut WorkerScratch,
+                /// This chunk's first recruiter rank (call cursor start).
+                cursor: usize,
             }
-        });
+            let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
+                std::array::from_fn(|_| Mutex::new(None));
+            let (full_chunk, ctx) = env.outcome_view();
+            let mut rest_snapshots = snapshots.as_mut_slice();
+            let mut rest_chunk = Some(full_chunk);
+            let mut rest_next = scratch.next_actions.as_mut_slice();
+            let mut rest_next_skip = faults.map(|_| scratch.next_skip.as_mut_slice());
+            let mut rest_outcomes = materialize.then_some(scratch.report.outcomes.as_mut_slice());
+            let mut scratch_iter = worker_scratch.iter_mut();
+            let mut cursor = 0usize;
+            for (part, slot) in slots.iter().take(threads).enumerate() {
+                let len = bounds[part + 1] - bounds[part];
+                let chunk = if part + 1 == threads {
+                    rest_chunk.take().expect("chunk remainder")
+                } else {
+                    let (head, tail) = rest_chunk
+                        .take()
+                        .expect("chunk remainder")
+                        .split_at(bounds[part + 1]);
+                    rest_chunk = Some(tail);
+                    head
+                };
+                let ws = scratch_iter.next().expect("worker scratch");
+                let part_cursor = cursor;
+                cursor += ws.calls.len();
+                *slot.lock().expect("slot") = Some(OutcomePart {
+                    chunk,
+                    agents: std::mem::take(&mut bands[part]),
+                    snapshots: split_band(&mut rest_snapshots, len),
+                    next: split_band(&mut rest_next, len),
+                    next_skip: rest_next_skip.as_mut().map(|rest| split_band(rest, len)),
+                    outcomes: rest_outcomes.as_mut().map(|rest| split_band(rest, len)),
+                    scratch: ws,
+                    cursor: part_cursor,
+                });
+            }
+            let actions = scratch.actions.as_slice();
+            let ran = scratch.ran.as_slice();
+            let skip = scratch.skip.as_slice();
+            scatter(
+                pool.as_mut(),
+                threads,
+                &slots,
+                |_, part: OutcomePart<'_>| {
+                    let OutcomePart {
+                        chunk,
+                        agents,
+                        snapshots,
+                        next,
+                        mut next_skip,
+                        mut outcomes,
+                        scratch,
+                        mut cursor,
+                    } = part;
+                    let start = chunk.start();
+                    if let (Some(plan), Some(skip)) = (faults, next_skip.as_deref_mut()) {
+                        plan.fill_skip(start, round + 1, skip);
+                    }
+                    let rows = next.iter_mut().zip(agents).zip(snapshots);
+                    for (local, ((next, slot), row)) in rows.enumerate() {
+                        let idx = start + local;
+                        // Every row drains its outcome, in order: the call
+                        // advances the chunk's recruit-call cursor.
+                        let outcome = chunk.outcome(&ctx, idx, actions[idx], &mut cursor);
+                        if let Some(out) = outcomes.as_deref_mut() {
+                            out[local] = outcome;
+                        }
+                        let choose_next =
+                            !FAULTS || next_skip.as_deref().is_none_or(|skip| !skip[local]);
+                        if FAULTS && !choose_next && skip[idx] {
+                            // Idle this round and the next (a crashed ant,
+                            // say): nothing to observe or choose, and its
+                            // state is unchanged since its last refresh.
+                            continue;
+                        }
+                        let observed = ran[idx].then_some(&outcome);
+                        let agent = A::project(slot);
+                        let new = if FAULTS {
+                            let (action, new) =
+                                agent.observe_choose_if(round, observed, choose_next);
+                            if let Some(action) = action {
+                                *next = action;
+                            }
+                            new
+                        } else {
+                            let (action, new) = agent.observe_choose(round, observed);
+                            *next = action;
+                            new
+                        };
+                        scratch.refresh(row, new);
+                    }
+                },
+            );
+        }
     }
+}
+
+impl Perturbations {
+    /// Fills `skip` with whether each of the ants `first_ant..` takes a
+    /// no-op in `round` — crashed or delayed: the batched round's
+    /// per-chunk skip mask.
+    fn fill_skip(&self, first_ant: usize, round: u64, skip: &mut [bool]) {
+        self.delay.fill_delayed(first_ant, round, skip);
+        for (skipped, idx) in skip.iter_mut().zip(first_ant..) {
+            *skipped |= self.crash.is_crashed(AntId::new(idx), round);
+        }
+    }
+}
+
+/// One chunk's view of a perturbed batched round's fault state (phase 1).
+struct FaultPart<'a> {
+    plan: &'a Perturbations,
+    /// This round's skip mask over the chunk's ants.
+    skip: &'a mut [bool],
+    /// The executor's crashed flags for the chunk's ants.
+    crashed: &'a mut [bool],
+    /// The chunk's snapshot-cache rows as of the previous round.
+    snapshots: &'a [AgentSnapshot],
+}
+
+impl<'a> FaultPart<'a> {
+    /// Splits off the view of the first `len` ants.
+    fn split_off(&mut self, len: usize) -> FaultPart<'a> {
+        let (snapshots, rest) = self.snapshots.split_at(len);
+        self.snapshots = rest;
+        FaultPart {
+            plan: self.plan,
+            skip: split_band(&mut self.skip, len),
+            crashed: split_band(&mut self.crashed, len),
+            snapshots,
+        }
+    }
+
+    /// Skipped ant `local`'s round: the no-op in its crash style (in
+    /// place, for a delay), counted as replaced. In the round the ant
+    /// first crashes it also leaves this part's live tally, at its last
+    /// refreshed state.
+    fn skip_ant(
+        &mut self,
+        chunk: &RelocationChunk<'_>,
+        local: usize,
+        round: u64,
+        ws: &mut WorkerScratch,
+    ) -> Action {
+        let idx = chunk.start() + local;
+        let crashed = self.plan.crash.is_crashed(AntId::new(idx), round);
+        if crashed && !self.crashed[local] {
+            self.crashed[local] = true;
+            let snapshot = &self.snapshots[local];
+            if snapshot.honest {
+                ws.tally.shift(snapshot, -1);
+            }
+        }
+        ws.replaced += 1;
+        let style = if crashed {
+            self.plan.crash.style()
+        } else {
+            CrashStyle::InPlace
+        };
+        chunk.noop(idx, style)
+    }
+}
+
+/// Splits the first `len` slots off `rest` — one part's band of a
+/// per-ant buffer.
+fn split_band<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 #[cfg(test)]
@@ -1295,6 +1410,151 @@ mod tests {
     fn rejects_mismatched_colony() {
         let err = Simulation::new(env(5, 2, 0), colony::simple(3, 0)).unwrap_err();
         assert_eq!(err, SimError::AgentCountMismatch { agents: 3, n: 5 });
+    }
+
+    #[test]
+    fn rejects_mismatched_crash_schedule() {
+        use hh_model::faults::{CrashPlan, CrashStyle};
+        let build = |schedule: Vec<Option<u64>>| {
+            let perturbations = Perturbations {
+                crash: CrashPlan::from_schedule(schedule, CrashStyle::InPlace),
+                delay: DelayPlan::never(),
+            };
+            Simulation::with_perturbations(env(8, 2, 0), colony::simple(8, 0), Some(perturbations))
+        };
+        // Too short: the first round would index past the schedule.
+        let short = build(vec![Some(2), None, None]).unwrap_err();
+        assert_eq!(short, SimError::CrashPlanMismatch { plan: 3, n: 8 });
+        // Too long, even with no crash in it.
+        let long = build(vec![None; 9]).unwrap_err();
+        assert_eq!(long, SimError::CrashPlanMismatch { plan: 9, n: 8 });
+        let mut exact = build(vec![None; 8]).unwrap();
+        exact.step().unwrap();
+    }
+
+    #[test]
+    fn skipped_ants_are_never_prechosen() {
+        // Every ant logs its `choose(r)` and `observe(r)` calls. Under
+        // crash and delay plans the batched engine, which pre-chooses
+        // round r + 1 in round r, must make exactly the scalar oracle's
+        // calls at every thread count: an ant skipped in a round is
+        // never chosen for it, so it never advances its state machine.
+        use hh_model::faults::{CrashPlan, CrashStyle};
+        use std::sync::Arc;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Call {
+            Choose(u64),
+            Observe(u64),
+        }
+        impl Call {
+            fn round(self) -> u64 {
+                match self {
+                    Call::Choose(round) | Call::Observe(round) => round,
+                }
+            }
+        }
+        struct Logger {
+            inner: SimpleAnt,
+            log: Arc<Mutex<Vec<Call>>>,
+        }
+        impl Agent for Logger {
+            fn choose(&mut self, round: u64) -> Action {
+                self.log.lock().unwrap().push(Call::Choose(round));
+                self.inner.choose(round)
+            }
+            fn observe(&mut self, round: u64, outcome: &Outcome) {
+                self.log.lock().unwrap().push(Call::Observe(round));
+                self.inner.observe(round, outcome);
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.inner.committed_nest()
+            }
+            fn is_final(&self) -> bool {
+                self.inner.is_final()
+            }
+            fn role(&self) -> hh_core::AgentRole {
+                self.inner.role()
+            }
+            fn label(&self) -> &'static str {
+                "logger"
+            }
+        }
+
+        let n = 40;
+        let run = |engine: EngineKind, threads: usize, style: CrashStyle| {
+            let logs: Vec<Arc<Mutex<Vec<Call>>>> = (0..n).map(|_| Arc::default()).collect();
+            let agents: Vec<AnyAgent> = logs
+                .iter()
+                .enumerate()
+                .map(|(idx, log)| {
+                    AnyAgent::custom(Logger {
+                        inner: SimpleAnt::new(n, 310 + idx as u64),
+                        log: Arc::clone(log),
+                    })
+                })
+                .collect();
+            // Two ants crash in round 1, before they ever choose; four
+            // more in round 4 and one in round 9.
+            let mut schedule = vec![None; n];
+            schedule[0] = Some(1);
+            schedule[21] = Some(1);
+            for at in &mut schedule[10..14] {
+                *at = Some(4);
+            }
+            schedule[30] = Some(9);
+            let perturbations = Perturbations {
+                crash: CrashPlan::from_schedule(schedule, style),
+                delay: DelayPlan::new(0.3, 31),
+            };
+            let mut sim =
+                Simulation::with_perturbations(env(n, 3, 31), agents, Some(perturbations))
+                    .unwrap()
+                    .with_engine(engine)
+                    .with_round_threads(threads);
+            let reports: Vec<StepReport> = (0..30).map(|_| sim.step().unwrap()).collect();
+            let outcome = sim
+                .run_to_convergence(ConvergenceRule::stable_commitment(2), 2_000)
+                .unwrap();
+            let last = sim.round();
+            let log_of = |log: &Arc<Mutex<Vec<Call>>>| log.lock().unwrap().clone();
+            // Calls up to the last completed round, plus which ants have
+            // already been chosen for the round after it: the batched
+            // engine chooses those in the last round, the oracle in the
+            // next one.
+            let done: Vec<Vec<Call>> = logs
+                .iter()
+                .map(|log| {
+                    log_of(log)
+                        .into_iter()
+                        .filter(|call| call.round() <= last)
+                        .collect()
+                })
+                .collect();
+            if engine == EngineKind::Scalar {
+                sim.step().unwrap();
+            }
+            let next: Vec<bool> = logs
+                .iter()
+                .map(|log| log_of(log).contains(&Call::Choose(last + 1)))
+                .collect();
+            (reports, outcome, done, next)
+        };
+        for style in [CrashStyle::InPlace, CrashStyle::AtHome] {
+            let oracle = run(EngineKind::Scalar, 1, style);
+            assert!(oracle.2[0].is_empty(), "a round-1 crash never chooses");
+            assert!(oracle.1.replaced_actions > 0);
+            for threads in [1, 2, 8] {
+                let batched = run(EngineKind::Batched, threads, style);
+                let context = format!("{style:?} at {threads} round threads");
+                assert_eq!(oracle.0, batched.0, "{context}: step reports");
+                assert_eq!(oracle.1, batched.1, "{context}: run outcome");
+                for (ant, (want, got)) in oracle.2.iter().zip(&batched.2).enumerate() {
+                    assert_eq!(want, got, "{context}: ant {ant}'s calls");
+                }
+                assert_eq!(oracle.3, batched.3, "{context}: pre-chosen ants");
+            }
+        }
     }
 
     #[test]
@@ -1551,7 +1811,7 @@ mod tests {
                 .unwrap()
                 .with_round_threads(threads)
         };
-        for (threads, perturbed) in [(1, false), (4, false), (1, true)] {
+        for (threads, perturbed) in [(1, false), (4, false), (1, true), (4, true)] {
             let rule = ConvergenceRule::stable_commitment(4);
             let quiet = build(threads, perturbed)
                 .run_to_convergence(rule, 10_000)
@@ -1576,7 +1836,7 @@ mod tests {
         // The pool gate depends on three builder-set fields; every call
         // order must land on the same configuration, worker pool
         // included. Before `rebuild_pool` centralized the gate, a
-        // `with_engine(Scalar)` → `with_engine(Soa)` round trip came
+        // `with_engine(Scalar)` → `with_engine(Batched)` round trip came
         // back with `round_threads` remembered but no pool.
         let pool_workers = |sim: &Simulation| sim.pool.as_ref().map_or(0, |pool| pool.workers());
         let fresh = || Simulation::new(env(32, 2, 40), colony::simple(32, 40)).unwrap();
@@ -1588,7 +1848,7 @@ mod tests {
         let round_trip = fresh()
             .with_round_threads(8)
             .with_engine(EngineKind::Scalar)
-            .with_engine(EngineKind::Soa);
+            .with_engine(EngineKind::Batched);
         assert_eq!(round_trip.round_threads(), 8);
         assert_eq!(
             pool_workers(&round_trip),
@@ -1598,7 +1858,7 @@ mod tests {
 
         let threads_last = fresh()
             .with_engine(EngineKind::Scalar)
-            .with_engine(EngineKind::Soa)
+            .with_engine(EngineKind::Batched)
             .with_round_threads(8);
         assert_eq!(pool_workers(&threads_last), 7);
 
@@ -1606,7 +1866,7 @@ mod tests {
             .with_round_threads(8)
             .with_engine(EngineKind::Scalar)
             .with_chunk_bounds(vec![0, 3, 32])
-            .with_engine(EngineKind::Soa);
+            .with_engine(EngineKind::Batched);
         assert_eq!(
             pool_workers(&bounds_between),
             1,
@@ -1641,86 +1901,118 @@ mod tests {
         // both step the same agent vector, with nothing to hand over.
         // Switch after an odd number of rounds so the buffered choices
         // are for an even (recruitment) round: that is where urn ants
-        // draw their recruit coin in `choose`.
+        // draw their recruit coin in `choose`. The perturbed input
+        // switches with some ants crashed or delayed: the batched round
+        // pre-chose only the ants that act in the next round, and the
+        // scalar round consumes exactly those.
+        use hh_model::faults::{CrashPlan, CrashStyle};
         let n = 64;
-        let mut switched = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
-        assert!(switched.uses_agent_columns());
-        let mut scalar = Simulation::new(env(n, 3, 52), colony::simple(n, 52))
-            .unwrap()
-            .with_engine(EngineKind::Scalar);
-        for _ in 0..9 {
+        let perturbed = Perturbations {
+            crash: CrashPlan::fraction(n, 0.15, 4, CrashStyle::AtHome, 52),
+            delay: DelayPlan::new(0.2, 52),
+        };
+        for perturbations in [None, Some(perturbed)] {
+            let build = || {
+                Simulation::with_perturbations(
+                    env(n, 3, 52),
+                    colony::simple(n, 52),
+                    perturbations.clone(),
+                )
+                .unwrap()
+            };
+            let label = if perturbations.is_some() {
+                "perturbed"
+            } else {
+                "unperturbed"
+            };
+            let mut switched = build();
+            assert!(switched.uses_agent_columns());
+            let mut scalar = build().with_engine(EngineKind::Scalar);
+            for _ in 0..9 {
+                switched.step().unwrap();
+                scalar.step().unwrap();
+            }
+            switched = switched.with_engine(EngineKind::Scalar);
+            for round in 9..30 {
+                assert_eq!(
+                    switched.step().unwrap(),
+                    scalar.step().unwrap(),
+                    "{label}: diverged at round {round} after the engine switch"
+                );
+            }
+            assert_eq!(switched.role_census(), scalar.role_census());
+            // And back: the scalar path leaves no pre-chosen actions, so
+            // the batched path chooses in phase 1.
             switched.step().unwrap();
             scalar.step().unwrap();
-        }
-        switched = switched.with_engine(EngineKind::Scalar);
-        for round in 9..30 {
+            switched = switched.with_engine(EngineKind::Batched);
+            assert!(switched.uses_agent_columns());
+            let mut batched_oracle = build();
+            for _ in 0..31 {
+                batched_oracle.step().unwrap();
+            }
+            for round in 31..41 {
+                assert_eq!(
+                    switched.step().unwrap(),
+                    batched_oracle.step().unwrap(),
+                    "{label}: diverged at round {round} after switching back to batched"
+                );
+            }
             assert_eq!(
-                switched.step().unwrap(),
-                scalar.step().unwrap(),
-                "diverged at round {round} after the engine switch"
-            );
-        }
-        assert_eq!(switched.role_census(), scalar.role_census());
-        // And back: the scalar path leaves no pre-chosen actions, so the
-        // batched path chooses in phase 1.
-        switched.step().unwrap();
-        scalar.step().unwrap();
-        switched = switched.with_engine(EngineKind::Soa);
-        assert!(switched.uses_agent_columns());
-        let mut soa_oracle = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
-        for _ in 0..31 {
-            soa_oracle.step().unwrap();
-        }
-        for round in 31..41 {
-            assert_eq!(
-                switched.step().unwrap(),
-                soa_oracle.step().unwrap(),
-                "diverged at round {round} after switching back to SoA"
+                switched.replaced_actions(),
+                batched_oracle.replaced_actions()
             );
         }
     }
 
     #[test]
     fn perturbed_round_threads_is_bit_identical_to_serial() {
-        // Perturbed simulations ignore `round_threads` at execution
-        // time: every round runs on the serial scalar path, so the
-        // setting must be observably inert (the documented contract on
-        // `with_round_threads` and `Scenario::round_threads`).
+        // Perturbed simulations run the batched round on the pool like
+        // any other: the crash/delay masks are per-ant data, so every
+        // thread count must reproduce the serial run, for both crash
+        // styles.
         use hh_model::faults::{CrashPlan, CrashStyle};
         let n = 96;
-        let build = |threads: usize| {
-            let perturbations = Perturbations {
-                crash: CrashPlan::fraction(n, 0.2, 5, CrashStyle::InPlace, 13),
-                delay: DelayPlan::new(0.1, 13),
+        for style in [CrashStyle::InPlace, CrashStyle::AtHome] {
+            let build = |threads: usize| {
+                let perturbations = Perturbations {
+                    crash: CrashPlan::fraction(n, 0.2, 5, style, 13),
+                    delay: DelayPlan::new(0.1, 13),
+                };
+                Simulation::with_perturbations(
+                    env(n, 3, 61),
+                    colony::simple(n, 61),
+                    Some(perturbations),
+                )
+                .unwrap()
+                .with_round_threads(threads)
             };
-            Simulation::with_perturbations(
-                env(n, 3, 61),
-                colony::simple(n, 61),
-                Some(perturbations),
-            )
-            .unwrap()
-            .with_round_threads(threads)
-        };
-        let mut serial = build(1);
-        let mut threaded = build(8);
-        assert!(threaded.pool.is_none(), "perturbed runs never spawn a pool");
-        for round in 0..40 {
+            let mut serial = build(1);
+            let mut threaded = build(8);
             assert_eq!(
-                serial.step().unwrap(),
-                threaded.step().unwrap(),
-                "perturbed round {round} diverged under round_threads=8"
+                threaded.pool.as_ref().map(WorkerPool::workers),
+                Some(7),
+                "perturbed runs spawn the pool like any other"
+            );
+            for round in 0..40 {
+                assert_eq!(
+                    serial.step().unwrap(),
+                    threaded.step().unwrap(),
+                    "{style:?}: perturbed round {round} diverged under round_threads=8"
+                );
+            }
+            let rule = ConvergenceRule::stable_commitment(4);
+            assert_eq!(
+                serial.run_to_convergence(rule, 5_000).unwrap(),
+                threaded.run_to_convergence(rule, 5_000).unwrap(),
+                "{style:?}"
             );
         }
-        let rule = ConvergenceRule::stable_commitment(4);
-        assert_eq!(
-            serial.run_to_convergence(rule, 5_000).unwrap(),
-            threaded.run_to_convergence(rule, 5_000).unwrap()
-        );
     }
 
     #[test]
-    fn agent_columns_engage_exactly_for_uniform_unperturbed_soa() {
-        // Uniform SimpleAnt colony, default (SoA) engine: batched.
+    fn agent_columns_engage_exactly_for_uniform_batched_colonies() {
+        // Uniform SimpleAnt colony, default (batched) engine: engaged.
         let sim = Simulation::new(env(32, 2, 70), colony::simple(32, 70)).unwrap();
         assert!(sim.uses_agent_columns());
         // Scalar oracle: never batched.
@@ -1733,7 +2025,7 @@ mod tests {
         mixed.replace(0, hh_core::OptimalAnt::new());
         let sim = Simulation::new(env(32, 2, 70), mixed).unwrap();
         assert!(!sim.uses_agent_columns());
-        // Perturbed runs stay on the per-round engine.
+        // Perturbed uniform colonies run the same per-algorithm loop.
         use hh_model::faults::{CrashPlan, CrashStyle};
         let perturbations = Perturbations {
             crash: CrashPlan::fraction(32, 0.1, 2, CrashStyle::InPlace, 70),
@@ -1745,7 +2037,7 @@ mod tests {
             Some(perturbations),
         )
         .unwrap();
-        assert!(!sim.uses_agent_columns());
+        assert!(sim.uses_agent_columns());
     }
 
     #[test]
@@ -1900,9 +2192,10 @@ mod tests {
         };
         let runs = [
             (EngineKind::Scalar, 1, false),
-            (EngineKind::Soa, 1, false),
-            (EngineKind::Soa, 2, false),
-            (EngineKind::Soa, 1, true),
+            (EngineKind::Batched, 1, false),
+            (EngineKind::Batched, 2, false),
+            (EngineKind::Batched, 1, true),
+            (EngineKind::Batched, 2, true),
         ];
         let mut unperturbed_censuses = Vec::new();
         for (engine, threads, crash) in runs {

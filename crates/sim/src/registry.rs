@@ -611,14 +611,8 @@ impl Scenario {
     /// builds runs with (default 1, the serial engine). Outcomes are
     /// bit-identical for every setting — see
     /// [`Simulation::with_round_threads`] — so this is purely a
-    /// performance knob; the conformance suite holds the whole catalog
-    /// to that contract.
-    ///
-    /// **Perturbed scenarios ignore this setting at execution time**:
-    /// crash/delay rounds always run on the serial scalar path, so the
-    /// setting is remembered but inert — bit-identical to the serial run
-    /// by construction (pinned by
-    /// `perturbed_round_threads_is_bit_identical_to_serial`).
+    /// performance knob; the conformance suite holds the whole catalog,
+    /// crash and delay scenarios included, to that contract.
     #[must_use]
     pub fn round_threads(mut self, threads: usize) -> Self {
         self.round_threads = threads;
@@ -632,10 +626,11 @@ impl Scenario {
     }
 
     /// Selects the round engine every simulation this scenario builds
-    /// runs with (default [`EngineKind::Soa`]). The scalar engine is the
-    /// distribution-identity oracle — outcomes are bit-identical to the
-    /// SoA engine's for equal seeds, and `tests/soa_equivalence.rs`
-    /// holds the whole catalog to that contract.
+    /// runs with (default [`EngineKind::Batched`], the production engine).
+    /// The scalar engine is the distribution-identity oracle — outcomes
+    /// are bit-identical to the batched engine's for equal seeds, and
+    /// `tests/batched_equivalence.rs` holds the whole catalog to that
+    /// contract.
     #[must_use]
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;

@@ -1,11 +1,12 @@
-//! SoA ↔ scalar distribution identity over the whole scenario catalog.
+//! Batched ↔ scalar distribution identity over the whole scenario catalog.
 //!
 //! The executor ships two renderings of the same round semantics: the
-//! struct-of-arrays fast path (`EngineKind::Soa` — fused column passes,
-//! batched per-ant RNG draws, optional intra-round chunking) and the
-//! scalar oracle (`EngineKind::Scalar` — one match-per-ant pass per
-//! phase, always serial). This harness holds them **bit-identical**, not
-//! just statistically close: for every catalog scenario and equal seeds,
+//! batched production engine (`EngineKind::Batched` — one fused agent
+//! pass per round, crash/delay skip masks per chunk, optional
+//! intra-round chunking) and the scalar oracle (`EngineKind::Scalar` —
+//! one match-per-ant pass per phase, always serial). This harness holds
+//! them **bit-identical**, not just statistically close: for every
+//! catalog scenario and equal seeds, fault schedules included,
 //!
 //! 1. the [`RunOutcome`]s agree exactly (solved round/nest, rounds run,
 //!    replaced/illegal action counters);
@@ -13,14 +14,9 @@
 //!    populations, honest commitment histograms, role census — checked
 //!    in lockstep after every round so a divergence names the first
 //!    round it appears in;
-//! 3. the SoA engine's agreement with the oracle survives every
+//! 3. the batched engine's agreement with the oracle survives every
 //!    intra-round thread count the determinism contract covers
 //!    ({1, 2, 8}, plus the CI thread matrix via `HH_ROUND_THREADS`).
-//!
-//! Scenarios with fault schedules route both engines through the same
-//! serial bookkeeping path, so their rows hold trivially; they stay in
-//! the sweep anyway — the suite's contract is "the whole catalog", and
-//! the rows are cheap insurance against a future engine split.
 
 use house_hunting::prelude::*;
 use house_hunting::sim::registry;
@@ -35,7 +31,7 @@ const REPRO_TRIALS: usize = 3;
 /// first, and the full-run outcome tests cover the tail.
 const LOCKSTEP_ROUNDS: u64 = 96;
 
-/// Intra-round thread counts the SoA engine must match the oracle at.
+/// Intra-round thread counts the batched engine must match the oracle at.
 /// Mirrors `registry_conformance::round_thread_counts`, including the CI
 /// thread-matrix extension.
 fn round_thread_counts() -> Vec<usize> {
@@ -53,11 +49,11 @@ fn round_thread_counts() -> Vec<usize> {
 }
 
 #[test]
-fn soa_is_the_default_engine() {
+fn batched_is_the_default_engine() {
     let scenario = registry::all_scenarios().remove(0);
-    assert_eq!(scenario.engine_kind(), EngineKind::Soa);
+    assert_eq!(scenario.engine_kind(), EngineKind::Batched);
     let sim = scenario.build(scenario.base_seed()).expect("builds");
-    assert_eq!(sim.engine(), EngineKind::Soa);
+    assert_eq!(sim.engine(), EngineKind::Batched);
     let scalar = scenario.clone().engine(EngineKind::Scalar);
     assert_eq!(scalar.engine_kind(), EngineKind::Scalar);
     assert_eq!(
@@ -67,7 +63,7 @@ fn soa_is_the_default_engine() {
 }
 
 #[test]
-fn every_scenario_runs_identically_on_scalar_and_soa() {
+fn every_scenario_runs_identically_on_scalar_and_batched() {
     for scenario in registry::all_scenarios() {
         let oracle = scenario
             .clone()
@@ -76,21 +72,21 @@ fn every_scenario_runs_identically_on_scalar_and_soa() {
             .unwrap_or_else(|e| panic!("{}: scalar trials failed: {e}", scenario.name()));
         assert_eq!(oracle.len(), REPRO_TRIALS);
         for &threads in &round_thread_counts() {
-            let soa = scenario
+            let batched = scenario
                 .clone()
-                .engine(EngineKind::Soa)
+                .engine(EngineKind::Batched)
                 .round_threads(threads)
                 .run_trials_with_workers(REPRO_TRIALS, 2)
                 .unwrap_or_else(|e| {
                     panic!(
-                        "{}: SoA trials ({threads} round threads) failed: {e}",
+                        "{}: batched trials ({threads} round threads) failed: {e}",
                         scenario.name()
                     )
                 });
             assert_eq!(
                 oracle,
-                soa,
-                "{}: SoA engine at {threads} round threads diverged from the scalar oracle",
+                batched,
+                "{}: batched engine at {threads} round threads diverged from the scalar oracle",
                 scenario.name()
             );
         }
@@ -106,48 +102,48 @@ fn every_scenario_census_matches_round_by_round() {
             .engine(EngineKind::Scalar)
             .build(seed)
             .unwrap_or_else(|e| panic!("{}: scalar build failed: {e}", scenario.name()));
-        let mut soa = scenario
+        let mut batched = scenario
             .clone()
-            .engine(EngineKind::Soa)
+            .engine(EngineKind::Batched)
             .round_threads(2)
             .build(seed)
-            .unwrap_or_else(|e| panic!("{}: SoA build failed: {e}", scenario.name()));
+            .unwrap_or_else(|e| panic!("{}: batched build failed: {e}", scenario.name()));
         let rounds = LOCKSTEP_ROUNDS.min(scenario.round_budget());
         for round in 1..=rounds {
             let scalar_report = scalar.step().unwrap_or_else(|e| {
                 panic!("{}: scalar round {round} failed: {e}", scenario.name())
             });
-            let soa_report = soa
-                .step()
-                .unwrap_or_else(|e| panic!("{}: SoA round {round} failed: {e}", scenario.name()));
+            let batched_report = batched.step().unwrap_or_else(|e| {
+                panic!("{}: batched round {round} failed: {e}", scenario.name())
+            });
             assert_eq!(
                 scalar_report,
-                soa_report,
+                batched_report,
                 "{}: step reports diverged at round {round}",
                 scenario.name()
             );
             assert_eq!(
                 RoundSnapshot::capture(&scalar),
-                RoundSnapshot::capture(&soa),
+                RoundSnapshot::capture(&batched),
                 "{}: census tallies diverged at round {round}",
                 scenario.name()
             );
             assert_eq!(
                 scalar.env().counts(),
-                soa.env().counts(),
+                batched.env().counts(),
                 "{}: nest populations diverged at round {round}",
                 scenario.name()
             );
         }
         assert_eq!(
             scalar.env().locations(),
-            soa.env().locations(),
+            batched.env().locations(),
             "{}: ant locations diverged after the lockstep walk",
             scenario.name()
         );
         assert_eq!(
             (scalar.replaced_actions(), scalar.illegal_actions()),
-            (soa.replaced_actions(), soa.illegal_actions()),
+            (batched.replaced_actions(), batched.illegal_actions()),
             "{}: sandbox counters diverged after the lockstep walk",
             scenario.name()
         );
@@ -178,15 +174,18 @@ fn quorum_nan_sanitization_survives_narrowed_types() {
     };
     let majority_rule = ConvergenceRule::quorum(0.5, 1);
     let scalar_nan = run(EngineKind::Scalar, nan_rule);
-    let soa_nan = run(EngineKind::Soa, nan_rule);
-    let majority = run(EngineKind::Soa, majority_rule);
-    assert_eq!(scalar_nan, soa_nan, "engines disagree under the NaN rule");
+    let batched_nan = run(EngineKind::Batched, nan_rule);
+    let majority = run(EngineKind::Batched, majority_rule);
     assert_eq!(
-        soa_nan, majority,
+        scalar_nan, batched_nan,
+        "engines disagree under the NaN rule"
+    );
+    assert_eq!(
+        batched_nan, majority,
         "NaN fraction must sanitize to the simple majority"
     );
     assert!(
-        soa_nan.solved.is_some(),
+        batched_nan.solved.is_some(),
         "the idle colony reaches a majority"
     );
 }
@@ -224,14 +223,14 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
     for bounds in bounds_sets {
         let mut sim = scenario
             .build(seed)
-            .expect("SoA builds")
+            .expect("batched builds")
             .with_chunk_bounds(bounds.clone());
         assert!(
             sim.uses_agent_columns(),
             "baseline-128 is a uniform simple colony: the \
              per-algorithm loop must engage"
         );
-        let outcome = sim.run_to_convergence(rule, budget).expect("SoA runs");
+        let outcome = sim.run_to_convergence(rule, budget).expect("batched runs");
         assert_eq!(
             expected, outcome,
             "chunk bounds {bounds:?} diverged from the scalar oracle"
@@ -240,9 +239,9 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
 }
 
 /// The per-algorithm loop engages exactly for uniform colonies (every
-/// ant one simple, adaptive, optimal, quality or spreader variant);
-/// idler, heterogeneous and Byzantine mixes dispatch per ant on the
-/// `AnyAgent` path.
+/// ant one simple, adaptive, optimal, quality or spreader variant),
+/// perturbed or not; idler, heterogeneous and Byzantine mixes dispatch
+/// per ant on the `AnyAgent` path.
 #[test]
 fn agent_columns_engage_for_homogeneous_catalog_entries() {
     let expectations = [
@@ -254,6 +253,8 @@ fn agent_columns_engage_for_homogeneous_catalog_entries() {
         ("spreader-rumor-512", true),
         ("hetero-simple-adaptive-256", false),
         ("byzantine-handful-96", false),
+        ("crash-quarter-128", true),
+        ("delay-light-128", true),
     ];
     for (name, batched) in expectations {
         let scenario = registry::lookup(name).unwrap_or_else(|| panic!("{name} is registered"));
@@ -296,19 +297,21 @@ fn custom_boxed_agents_fall_back_bit_identically() {
         .run_to_convergence(rule, 10_000)
         .expect("oracle runs");
     for threads in [1usize, 2, 8] {
-        let mut soa = build(EngineKind::Soa, threads);
+        let mut batched = build(EngineKind::Batched, threads);
         assert!(
-            !soa.uses_agent_columns(),
+            !batched.uses_agent_columns(),
             "boxed custom agents must force the AnyAgent fallback"
         );
-        let outcome = soa.run_to_convergence(rule, 10_000).expect("SoA runs");
+        let outcome = batched
+            .run_to_convergence(rule, 10_000)
+            .expect("batched runs");
         assert_eq!(
             expected, outcome,
             "mixed colony with custom agents diverged at {threads} round threads"
         );
         assert_eq!(
             oracle.role_census(),
-            soa.role_census(),
+            batched.role_census(),
             "census diverged at {threads} round threads"
         );
     }

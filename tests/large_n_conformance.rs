@@ -84,8 +84,8 @@ fn large_scenarios_reproduce_bit_identically_across_worker_counts() {
 #[test]
 #[ignore = "release-mode CI job; run with -- --ignored"]
 fn large_scenarios_match_the_scalar_oracle() {
-    // The SoA engine against the scalar distribution-identity oracle at
-    // the colony sizes the SoA layout exists for: equal seeds must give
+    // The batched engine against the scalar distribution-identity oracle at
+    // the colony sizes the batched engine is tuned for: equal seeds must give
     // bit-identical outcomes at n >= 1024 (including both n = 4096
     // entries), serial and chunked alike.
     const TRIALS: usize = 2;
@@ -96,21 +96,21 @@ fn large_scenarios_match_the_scalar_oracle() {
             .run_trials_with_workers(TRIALS, 2)
             .unwrap_or_else(|e| panic!("{}: scalar trials failed: {e}", scenario.name()));
         for threads in [1usize, 8] {
-            let soa = scenario
+            let batched = scenario
                 .clone()
-                .engine(EngineKind::Soa)
+                .engine(EngineKind::Batched)
                 .round_threads(threads)
                 .run_trials_with_workers(TRIALS, 2)
                 .unwrap_or_else(|e| {
                     panic!(
-                        "{}: SoA trials ({threads} round threads) failed: {e}",
+                        "{}: batched trials ({threads} round threads) failed: {e}",
                         scenario.name()
                     )
                 });
             assert_eq!(
                 oracle,
-                soa,
-                "{}: SoA engine at {threads} round threads diverged from the scalar oracle",
+                batched,
+                "{}: batched engine at {threads} round threads diverged from the scalar oracle",
                 scenario.name()
             );
         }
@@ -143,19 +143,21 @@ fn large_uniform_colony_agent_columns_match_the_scalar_oracle() {
         "n = 8192 simple colony converges"
     );
     for threads in [1usize, 8] {
-        let mut soa = build(EngineKind::Soa, threads);
+        let mut batched = build(EngineKind::Batched, threads);
         assert!(
-            soa.uses_agent_columns(),
+            batched.uses_agent_columns(),
             "a uniform simple colony must run the per-algorithm loop"
         );
-        let outcome = soa.run_to_convergence(rule, 20_000).expect("SoA runs");
+        let outcome = batched
+            .run_to_convergence(rule, 20_000)
+            .expect("batched runs");
         assert_eq!(
             expected, outcome,
             "agent-column path diverged from the scalar oracle at \
              {threads} round threads (n = {n})"
         );
-        assert_eq!(oracle.role_census(), soa.role_census());
-        assert_eq!(oracle.env().counts(), soa.env().counts());
+        assert_eq!(oracle.role_census(), batched.role_census());
+        assert_eq!(oracle.env().counts(), batched.env().counts());
     }
 }
 

@@ -3,6 +3,7 @@
 //! never on scheduling — exercised over random colony sizes, habitats,
 //! seeds, and worker counts.
 
+use house_hunting::model::faults::{CrashPlan, CrashStyle, DelayPlan};
 use house_hunting::prelude::*;
 use house_hunting::sim::{run_trials, run_trials_with_workers};
 use proptest::prelude::*;
@@ -108,12 +109,14 @@ proptest! {
         prop_assert_eq!(serial.env().locations(), chunked_a.env().locations());
     }
 
-    /// The SoA engine's chunk split survives *adversarial* chunk shapes,
-    /// not just the even division `with_round_threads` produces: width-1
-    /// bands, an `n − 1` cut, prime strides, and arbitrary random
+    /// The batched engine's chunk split survives *adversarial* chunk
+    /// shapes, not just the even division `with_round_threads` produces:
+    /// width-1 bands, an `n − 1` cut, prime strides, and arbitrary random
     /// boundary vectors (including empty chunks) must all merge their
-    /// snapshot-cache bands and census deltas to exactly the serial
-    /// execution's state, round for round.
+    /// snapshot-cache bands, skip masks and census deltas to exactly the
+    /// serial execution's state, round for round — under generated crash
+    /// and delay plans too — and the serial execution must match the
+    /// scalar oracle's.
     #[test]
     fn adversarial_chunk_bounds_never_change_round_results(
         n in 4usize..96,
@@ -121,10 +124,19 @@ proptest! {
         seed in any::<u64>(),
         rounds in 1usize..24,
         cuts in proptest::collection::vec(any::<usize>(), 0..15),
+        crash_fraction in 0.0f64..0.5,
+        crash_round in 1u64..20,
+        at_home in any::<bool>(),
+        delay in 0.0f64..0.4,
     ) {
+        let style = if at_home { CrashStyle::AtHome } else { CrashStyle::InPlace };
         let build = || -> Result<Simulation, SimError> {
             ScenarioSpec::new(n, QualitySpec::good_prefix(k, 1 + k / 2))
                 .seed(seed)
+                .perturbations(Perturbations {
+                    crash: CrashPlan::fraction(n, crash_fraction, crash_round, style, seed),
+                    delay: DelayPlan::new(delay, seed),
+                })
                 .build_simulation(colony::simple(n, seed))
         };
 
@@ -147,6 +159,7 @@ proptest! {
             random,                 // arbitrary, possibly empty chunks
         ];
 
+        let mut oracle = build().unwrap().with_engine(EngineKind::Scalar);
         let mut serial = build().unwrap();
         let mut chunked: Vec<(Vec<usize>, Simulation)> = bounds_sets
             .into_iter()
@@ -154,6 +167,10 @@ proptest! {
             .collect();
         for round in 0..rounds {
             let reference = serial.step().unwrap();
+            prop_assert_eq!(
+                &oracle.step().unwrap(), &reference,
+                "round {}: the serial batched round diverged from the scalar oracle", round
+            );
             for (bounds, sim) in &mut chunked {
                 let report = sim.step().unwrap();
                 prop_assert_eq!(
@@ -162,7 +179,19 @@ proptest! {
                 );
             }
         }
+        prop_assert_eq!(
+            (oracle.replaced_actions(), oracle.illegal_actions()),
+            (serial.replaced_actions(), serial.illegal_actions()),
+            "sandbox counters diverged from the scalar oracle"
+        );
+        let oracle_rows: Vec<_> = oracle.iter_snapshots().collect();
+        let serial_rows: Vec<_> = serial.iter_snapshots().collect();
+        prop_assert_eq!(oracle_rows, serial_rows, "snapshot cache diverged from the oracle");
         for (bounds, sim) in &mut chunked {
+            prop_assert_eq!(
+                serial.replaced_actions(), sim.replaced_actions(),
+                "chunk bounds {:?}: replaced actions diverged", bounds
+            );
             prop_assert_eq!(
                 serial.env().counts(), sim.env().counts(),
                 "chunk bounds {:?}: final populations diverged", bounds
@@ -187,7 +216,7 @@ proptest! {
     }
 
     /// The per-algorithm loop of a uniform colony is bit-identical to
-    /// the scalar oracle: every SoA round of a uniform colony runs it
+    /// the scalar oracle: every batched round of a uniform colony runs it
     /// from round 1, and under adversarial chunk bounds and every
     /// covered thread count it must reproduce the oracle exactly —
     /// across every uniform colony family (simple, optimal, quality,
@@ -229,12 +258,12 @@ proptest! {
         bounds.sort_unstable();
 
         let mut oracle = build(EngineKind::Scalar).unwrap();
-        let mut soa = build(EngineKind::Soa)
+        let mut batched = build(EngineKind::Batched)
             .unwrap()
             .with_round_threads(threads)
             .with_chunk_bounds(bounds);
         prop_assert!(
-            soa.uses_agent_columns(),
+            batched.uses_agent_columns(),
             "family {} must run the per-algorithm loop", family
         );
         let rule = ConvergenceRule::commitment();
@@ -245,7 +274,7 @@ proptest! {
             match op {
                 0 => {
                     let reference = oracle.step().unwrap();
-                    let report = soa.step().unwrap();
+                    let report = batched.step().unwrap();
                     prop_assert_eq!(
                         reference, report,
                         "op {}: step reports diverged", at
@@ -253,7 +282,7 @@ proptest! {
                 }
                 1 => {
                     let reference = oracle.run_to_convergence(rule, 5).unwrap();
-                    let outcome = soa.run_to_convergence(rule, 5).unwrap();
+                    let outcome = batched.run_to_convergence(rule, 5).unwrap();
                     prop_assert_eq!(
                         reference, outcome,
                         "op {}: run outcomes diverged", at
@@ -261,18 +290,18 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(
-                        snapshots(&oracle), snapshots(&soa),
+                        snapshots(&oracle), snapshots(&batched),
                         "op {}: agent reads diverged from the oracle", at
                     );
                 }
             }
-            prop_assert_eq!(oracle.round(), soa.round());
-            prop_assert_eq!(oracle.env().counts(), soa.env().counts());
-            prop_assert_eq!(oracle.env().locations(), soa.env().locations());
-            prop_assert_eq!(oracle.role_census(), soa.role_census());
+            prop_assert_eq!(oracle.round(), batched.round());
+            prop_assert_eq!(oracle.env().counts(), batched.env().counts());
+            prop_assert_eq!(oracle.env().locations(), batched.env().locations());
+            prop_assert_eq!(oracle.role_census(), batched.role_census());
         }
         prop_assert_eq!(
-            snapshots(&oracle), snapshots(&soa),
+            snapshots(&oracle), snapshots(&batched),
             "final agent read diverged from the oracle"
         );
     }
